@@ -48,7 +48,6 @@ from .simulate import (
     SimConfig,
     TrendConfig,
     load_sim_config,
-    simulate_component,
     simulate_series,
 )
 from .stationarity import AdfResult, NdiffsResult, OlsFit, adf_test, ndiffs, ols, schwert_lags
@@ -98,7 +97,6 @@ __all__ = [
     "save_model",
     "save_report",
     "schwert_lags",
-    "simulate_component",
     "simulate_series",
     "training_residual",
     "utdd",

@@ -103,6 +103,8 @@ def compute_zscore(residual: Sequence[float]) -> float:
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
     """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive)."""
+    if not threshold > 0:
+        raise InvalidArgumentError("threshold must be positive")
     return abs(z_curr - z_ref) >= threshold
 
 
@@ -219,7 +221,7 @@ def load_report(path) -> DriftReport:
 
 def write_residual_csv(fit: WindowFit, path) -> None:
     """Plot-ready ``timestamp,residual`` rows for one window."""
-    write_timestamp_table(path, ["residual"], fit.grid.timestamps(), [fit.residual])
+    write_timestamp_table(path, ["residual"], fit.grid.epoch_us(), [fit.residual])
 
 
 def write_fit_csv(fit: WindowFit, path) -> None:
@@ -227,6 +229,6 @@ def write_fit_csv(fit: WindowFit, path) -> None:
     write_timestamp_table(
         path,
         ["observed", "seasonal", "residual"],
-        fit.grid.timestamps(),
+        fit.grid.epoch_us(),
         [fit.grid.values, fit.seasonal, fit.residual],
     )

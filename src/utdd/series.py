@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 _US_PER_SECOND = 1_000_000
 _US_PER_HOUR = 3_600 * _US_PER_SECOND
 _US_PER_DAY = 24 * _US_PER_HOUR
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
 
 
 def _coerce_utc(dt: datetime) -> datetime:
@@ -113,7 +116,7 @@ class TimeSeries:
 
     def epoch_us(self) -> np.ndarray:
         """Microseconds since the Unix epoch for every point (int64)."""
-        base = round(self.start.timestamp() * _US_PER_SECOND)
+        base = (self.start - _EPOCH) // _ONE_US
         offsets = np.rint(np.arange(len(self)) * (self.step * _US_PER_SECOND))
         return base + offsets.astype(np.int64)
 
@@ -293,31 +296,82 @@ def residual_stats(values: Sequence[float]) -> ResidualStats:
 # All files share one layout: a `timestamp,<name>[,<name>...]` header followed
 # by rows of an ISO-8601 UTC timestamp and floats rendered with the shortest
 # round-trip repr, so write -> read -> write is byte-identical for data rows.
+#
+# No row gets its own datetime object.  The writer renders a column of epoch
+# microseconds with `np.datetime_as_string`, once per distinct date and time
+# of day.  The reader accepts only regular grids: it parses the first two
+# timestamps, renders the grid they imply the same way and compares that
+# column with the file's in one step, so only rows whose text differs
+# (another UTC offset, a lowercase `z`, a fault) are parsed one at a time.
+# Errors are those of a row-by-row reader: the first faulty row wins, within a
+# row in the order blank line, field count, timestamp, number, non-finite
+# value; the column names, the step and the grid are checked after that.
 # ---------------------------------------------------------------------------
+
+
+def _format_stamps(us: np.ndarray) -> list[str]:
+    """:func:`format_utc` text of each epoch-microsecond value.
+
+    A grid repeats few dates and few times of day, so each distinct one is
+    rendered once (with microseconds only where they are nonzero) and the
+    row text is their concatenation.
+    """
+    day, time_of_day = np.divmod(np.asarray(us, dtype=np.int64), _US_PER_DAY)
+    days, day_index = np.unique(day, return_inverse=True)
+    times, time_index = np.unique(time_of_day, return_inverse=True)
+    dates = np.datetime_as_string(days.astype("datetime64[D]")).tolist()
+    clock = np.where(
+        times % _US_PER_SECOND == 0,
+        np.datetime_as_string((times // _US_PER_SECOND).astype("datetime64[s]")),
+        np.datetime_as_string(times.astype("datetime64[us]")),
+    )
+    clock = [text[10:] + "Z" for text in clock.tolist()]
+    return [dates[i] + clock[j] for i, j in zip(day_index.tolist(), time_index.tolist())]
 
 
 def write_timestamp_table(
     path,
     columns: Sequence[str],
-    timestamps: Sequence[datetime],
+    stamps: np.ndarray,
     arrays: Sequence[np.ndarray],
 ) -> None:
-    """Write a ``timestamp,...`` CSV with one float column per entry in ``columns``."""
+    """Write a ``timestamp,...`` CSV with one float column per entry in ``columns``.
+
+    ``stamps`` are the rows' times in microseconds since the Unix epoch, as
+    returned by :meth:`TimeSeries.epoch_us` and :func:`read_timestamp_table`.
+    """
     if len(columns) != len(arrays) or not columns:
         raise InvalidArgumentError("need one array per named column")
+    fields = [_format_stamps(stamps)]
+    fields.extend(list(map(repr, np.asarray(arr, dtype=np.float64).tolist())) for arr in arrays)
+    if any(len(col) != len(fields[0]) for col in fields):
+        raise InvalidArgumentError("need one value per timestamp in every column")
+    text = "\n".join(["timestamp," + ",".join(columns), *map(",".join, zip(*fields)), ""])
     with open(path, "w", newline="") as fh:
-        fh.write("timestamp," + ",".join(columns) + "\n")
-        for i, ts in enumerate(timestamps):
-            fields = [format_utc(ts)] + [repr(float(arr[i])) for arr in arrays]
-            fh.write(",".join(fields) + "\n")
+        fh.write(text)
 
 
-def read_timestamp_table(path) -> tuple[list[str], list[datetime], np.ndarray]:
+def _first_failure(rows: list, parse) -> int:
+    """Index of the first row on which ``parse`` raises ValueError, else ``len(rows)``."""
+    for i, row in enumerate(rows):
+        try:
+            parse(row)
+        except ValueError:
+            return i
+    return len(rows)
+
+
+def read_timestamp_table(
+    path, columns: Optional[Sequence[str]] = None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a ``timestamp,...`` CSV written by :func:`write_timestamp_table`.
 
-    Returns ``(column names, timestamps, data)`` where ``data`` has shape
-    ``(n_rows, n_columns)``.  Raises :class:`CsvFormatError` naming the first
-    offending line on any malformed content.
+    Returns ``(column names, stamps, data)``: ``stamps`` are epoch
+    microseconds (int64) and ``data`` has shape ``(n_rows, n_columns)``.  The
+    rows must lie on a regular, strictly ascending grid.  When ``columns`` is
+    given the names must equal it and at least one data row must exist.
+    Raises :class:`CsvFormatError` naming the offending line on malformed
+    content.
     """
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
@@ -327,27 +381,72 @@ def read_timestamp_table(path) -> tuple[list[str], list[datetime], np.ndarray]:
     if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
         raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
     ncols = len(header)
-    timestamps: list[datetime] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise CsvFormatError("blank line", line=lineno)
-        parts = line.split(",")
-        if len(parts) != ncols:
-            raise CsvFormatError(f"expected {ncols} fields, found {len(parts)}", line=lineno)
-        try:
-            timestamps.append(parse_utc(parts[0]))
-        except ValueError:
-            raise CsvFormatError(f"bad timestamp {parts[0]!r}", line=lineno) from None
-        try:
-            values = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise CsvFormatError("bad numeric value", line=lineno) from None
-        if not all(math.isfinite(v) for v in values):
-            raise CsvFormatError("non-finite value", line=lineno)
-        rows.append(values)
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), ncols - 1)
-    return header[1:], timestamps, data
+    body = lines[1:]
+
+    # Row faults as (row, rank within the row, message); the least one wins.
+    # Each check only looks at the rows before the faults already found.
+    faults = []
+    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
+    misshapen = np.flatnonzero(commas != ncols - 1)
+    n = int(misshapen[0]) if misshapen.size else len(body)
+    if n < len(body):
+        message = f"expected {ncols} fields, found {commas[n] + 1}" if body[n] else "blank line"
+        faults.append((n, 0, message))
+    fields = ",".join(body[:n]).split(",") if n else []
+    stamps = fields[0::ncols]
+
+    data = np.empty((n, ncols - 1))
+    try:
+        for j in range(1, ncols):
+            data[:, j - 1] = list(map(float, fields[j::ncols]))
+    except ValueError:
+        rows = [line.split(",")[1:] for line in body[:n]]
+        n_num = _first_failure(rows, lambda row: [float(v) for v in row])
+        faults.append((n_num, 2, "bad numeric value"))
+        data = np.array([[float(v) for v in row] for row in rows[:n_num]])
+        data = data.reshape(n_num, ncols - 1)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        faults.append((int(np.argmin(finite)), 3, "non-finite value"))
+
+    n_ts = _first_failure(stamps[:2], parse_utc)
+    first = [(parse_utc(text) - _EPOCH) // _ONE_US for text in stamps[:n_ts]]
+    step_us = first[1] - first[0] if len(first) == 2 else 0
+    grid = (first[0] if first else 0) + np.arange(n, dtype=np.int64) * step_us
+    off_grid = None
+    if n_ts == len(stamps[:2]):
+        n_ts = n
+        text = _format_stamps(grid)
+        mismatched = [] if text == stamps else [i for i in range(n) if stamps[i] != text[i]]
+        for i in mismatched:
+            try:
+                ts = parse_utc(stamps[i])
+            except ValueError:
+                n_ts = i
+                break
+            if off_grid is None and (ts - _EPOCH) // _ONE_US != grid[i]:
+                off_grid = (i, ts)
+    if n_ts < n:
+        faults.append((n_ts, 1, f"bad timestamp {stamps[n_ts]!r}"))
+    if faults:
+        row, _, message = min(faults)
+        raise CsvFormatError(message, line=row + 2)
+
+    if columns is not None:
+        if header[1:] != list(columns):
+            names = ",".join(["timestamp", *columns])
+            raise CsvFormatError(f"expected header {names!r}", line=1)
+        if not n:
+            raise CsvFormatError("no data rows", line=2)
+    if n > 1 and step_us <= 0:
+        raise CsvFormatError("timestamps must be strictly ascending", line=3)
+    if off_grid is not None:
+        i, ts = off_grid
+        want = _EPOCH + timedelta(microseconds=int(grid[i]))
+        raise CsvFormatError(
+            f"expected timestamp {format_utc(want)}, found {format_utc(ts)}", line=i + 2
+        )
+    return header[1:], grid, data
 
 
 def read_series_csv(path) -> TimeSeries:
@@ -356,27 +455,12 @@ def read_series_csv(path) -> TimeSeries:
     Rows must be strictly ascending with a constant step.  A single-row file
     yields a series with the documented fallback step of one second.
     """
-    columns, timestamps, data = read_timestamp_table(path)
-    if columns != ["value"]:
-        raise CsvFormatError("expected header 'timestamp,value'", line=1)
-    if not timestamps:
-        raise CsvFormatError("no data rows", line=2)
-    if len(timestamps) == 1:
-        return TimeSeries(timestamps[0], 1.0, data[:, 0])
-    step = (timestamps[1] - timestamps[0]).total_seconds()
-    if step <= 0:
-        raise CsvFormatError("timestamps must be strictly ascending", line=3)
-    start = timestamps[0]
-    for i, ts in enumerate(timestamps):
-        expected = start + timedelta(seconds=i * step)
-        if ts != expected:
-            raise CsvFormatError(
-                f"expected timestamp {format_utc(expected)}, found {format_utc(ts)}",
-                line=i + 2,
-            )
+    _, stamps, data = read_timestamp_table(path, ["value"])
+    start = _EPOCH + timedelta(microseconds=int(stamps[0]))
+    step = (int(stamps[1]) - int(stamps[0])) / _US_PER_SECOND if len(stamps) > 1 else 1.0
     return TimeSeries(start, step, data[:, 0])
 
 
 def write_series_csv(series: TimeSeries, path) -> None:
     """Write a series in the standard ``timestamp,value`` format."""
-    write_timestamp_table(path, ["value"], series.timestamps(), [series.values])
+    write_timestamp_table(path, ["value"], series.epoch_us(), [series.values])

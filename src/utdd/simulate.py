@@ -11,6 +11,12 @@ value at step ``t`` is ``sum_j g[j, t]``.  For even ``s`` the top harmonic
 ``j = p`` has ``l_p = pi`` and is advanced by the same literal recursion (no
 half-frequency special case).
 
+The step loop advances every harmonic of every component as one stacked
+``(sum p, 2)`` state of ``(g, h)`` rows, a few whole-array operations per
+step.  It is still the literal recursion above, evaluated term by term in the
+same order, so the output is bit for bit that of a per-harmonic scalar loop
+(no closed form, whose rounding would differ).
+
 Reproducibility contract: all randomness comes from one numpy PCG64 generator
 (``numpy.random.default_rng(seed)``) producing standard normals via numpy's
 ziggurat, consumed in a fixed slot order -- first any missing initial harmonic
@@ -24,7 +30,6 @@ draw.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Mapping, Optional
@@ -39,7 +44,6 @@ __all__ = [
     "DriftInjection",
     "TrendConfig",
     "SimConfig",
-    "simulate_component",
     "simulate_series",
     "sim_config_from_dict",
     "sim_config_to_dict",
@@ -131,37 +135,6 @@ class SimConfig:
         object.__setattr__(self, "holidays", holidays)
 
 
-def simulate_component(
-    cfg: SeasonalComponentConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Generate ``n`` values of one seasonal component using ``rng``.
-
-    Consumes draws in the documented order: any missing initial state first,
-    then per step the interleaved harmonic noise pairs (drawn even when
-    ``sigma_omega`` is zero).
-    """
-    if n < 1:
-        raise InvalidArgumentError("n must be at least 1")
-    p = cfg.p
-    j = np.arange(1, p + 1)
-    lam = 2.0 * np.pi * j / cfg.s
-    cos_l = np.cos(lam)
-    sin_l = np.sin(lam)
-    g = np.array(cfg.init_gamma if cfg.init_gamma is not None else rng.standard_normal(p))
-    h = np.array(
-        cfg.init_gamma_star if cfg.init_gamma_star is not None else rng.standard_normal(p)
-    )
-    out = np.empty(n, dtype=np.float64)
-    for t in range(n):
-        out[t] = g.sum()
-        w = rng.standard_normal(2 * p) * cfg.sigma_omega
-        g, h = (
-            g * cos_l + h * sin_l + w[0::2],
-            -g * sin_l + h * cos_l + w[1::2],
-        )
-    return out
-
-
 def simulate_series(cfg: SimConfig) -> TimeSeries:
     """Generate the configured series: trend + scaled seasonal sum + calendar effects + noise.
 
@@ -173,37 +146,32 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     n = cfg.n
     comps = cfg.components
 
-    inits = []
+    gamma: list = []
+    gamma_star: list = []
     for comp in comps:
-        g = comp.init_gamma if comp.init_gamma is not None else rng.standard_normal(comp.p)
-        h = (
+        gamma.extend(
+            comp.init_gamma if comp.init_gamma is not None else rng.standard_normal(comp.p)
+        )
+        gamma_star.extend(
             comp.init_gamma_star
             if comp.init_gamma_star is not None
             else rng.standard_normal(comp.p)
         )
-        inits.append((np.array(g, dtype=np.float64), np.array(h, dtype=np.float64)))
 
-    # one block per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
-    per_step = sum(2 * comp.p for comp in comps) + 1
-    noise = rng.standard_normal(n * per_step).reshape(n, per_step)
+    # one row per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
+    bounds = np.cumsum([0] + [comp.p for comp in comps])
+    total_p = int(bounds[-1])
+    noise = rng.standard_normal(n * (2 * total_p + 1)).reshape(n, 2 * total_p + 1)
+    for comp, lo, hi in zip(comps, bounds, bounds[1:]):
+        noise[:, 2 * lo : 2 * hi] *= comp.sigma_omega
+    eps = noise[:, -1]
+    eps *= cfg.sigma_eps
 
+    state = np.column_stack([gamma, gamma_star]).astype(np.float64)
+    gammas = _gamma_history(comps, state, noise[:, : 2 * total_p])
     seasonal = np.zeros(n, dtype=np.float64)
-    offset = 0
-    for comp, (g, h) in zip(comps, inits):
-        p = comp.p
-        lam = 2.0 * np.pi * np.arange(1, p + 1) / comp.s
-        cos_l = np.cos(lam)
-        sin_l = np.sin(lam)
-        block = noise[:, offset : offset + 2 * p] * comp.sigma_omega
-        offset += 2 * p
-        for t in range(n):
-            seasonal[t] += g.sum()
-            w = block[t]
-            g, h = (
-                g * cos_l + h * sin_l + w[0::2],
-                -g * sin_l + h * cos_l + w[1::2],
-            )
-    eps = noise[:, -1] * cfg.sigma_eps
+    for lo, hi in zip(bounds, bounds[1:]):
+        seasonal += gammas[:, lo:hi].sum(axis=1)
 
     grid = TimeSeries(cfg.start, cfg.step, np.zeros(n))
     weekend = extract_feature(grid, FeatureSpec("is_weekend")).astype(np.float64)
@@ -234,6 +202,32 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
         + noise_scale * eps
     )
     return TimeSeries(cfg.start, cfg.step, values)
+
+
+def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Advance every harmonic of every component at once; return gamma per step.
+
+    ``state`` is a C-ordered ``(total_p, 2)`` array, advanced in place: one
+    ``(gamma, gamma-star)`` row per harmonic, the components' harmonics one
+    after another.  ``draws`` is ``(n, 2 * total_p)``, each step's scaled
+    ``w_1, w*_1, ..., w_p, w*_p`` pairs in the same order.  Row ``t`` of the
+    result is gamma before step ``t``'s update.
+    """
+    n, total_p = draws.shape[0], state.shape[0]
+    lam = np.array([2.0 * np.pi * j / comp.s for comp in comps for j in range(1, comp.p + 1)])
+    cos = np.stack([np.cos(lam), np.cos(lam)], axis=1)
+    sin = np.stack([np.sin(lam), -np.sin(lam)], axis=1)
+    swapped = state[:, ::-1]
+    rotated = np.empty_like(state)
+    history = np.empty((n, total_p))
+    # (g, h) <- (g cos + h sin, h cos - g sin) + (w, w*), one ufunc per term
+    for gamma, w in zip(history, draws.reshape(n, total_p, 2)):
+        gamma[:] = state[:, 0]
+        np.multiply(swapped, sin, rotated)
+        np.multiply(state, cos, state)
+        np.add(state, rotated, state)
+        np.add(state, w, state)
+    return history
 
 
 def _drift_cut_us(at: datetime) -> int:

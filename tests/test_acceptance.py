@@ -28,7 +28,6 @@ from utdd import (
     load_sim_config,
     run_utdd,
     save_model,
-    simulate_component,
     simulate_series,
     training_residual,
 )
@@ -149,7 +148,9 @@ def test_simulator_exactness(capsys):
     single = SeasonalComponentConfig(
         24, 0.0, init_gamma=(1.0,) + (0.0,) * (p - 1), init_gamma_star=(0.0,) * p
     )
-    out = simulate_component(single, 240, np.random.default_rng(0))
+    out = simulate_series(
+        SimConfig(start=T0, step=3600.0, n=240, components=(single,), seed=0)
+    ).values
     cos_err = np.abs(out - np.cos(2 * np.pi * np.arange(240) / 24)).max()
     ok = period_err < 1e-9 and energy_err < 1e-9 and cos_err < 1e-9
     report(

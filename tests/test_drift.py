@@ -96,6 +96,12 @@ def test_detect_threshold_boundary():
     assert detect(0.75, 0.5, 0.25)        # direction does not matter
 
 
+def test_detect_rejects_non_positive_threshold():
+    for threshold in (0.0, -0.1, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            detect(0.5, 0.75, threshold)
+
+
 # ---------------------------------------------------------------------------
 # two-window pipeline
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from utdd.series import (
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 
 
 def hourly(values, start=T0):
@@ -79,6 +80,15 @@ def test_series_values_are_read_only():
     s = hourly([1.0, 2.0])
     with pytest.raises(ValueError):
         s.values[0] = 9.0
+
+
+def test_epoch_us_is_exact_far_from_1970():
+    # a float POSIX timestamp near year 9000 resolves only ~30 microseconds
+    for start in (datetime(9000, 1, 1, microsecond=123457, tzinfo=UTC),
+                  datetime(1000, 6, 1, microsecond=1, tzinfo=UTC)):
+        s = TimeSeries(start, 1.5, np.zeros(3))
+        want = [(s.timestamp(i) - EPOCH) // timedelta(microseconds=1) for i in range(3)]
+        assert s.epoch_us().tolist() == want
 
 
 def test_series_rejects_bad_inputs():
@@ -344,12 +354,169 @@ def test_csv_descending_timestamps_rejected(tmp_path):
 
 def test_timestamp_table_multicolumn(tmp_path):
     ts = [T0 + timedelta(hours=i) for i in range(5)]
+    us = np.array([(t - EPOCH) // timedelta(microseconds=1) for t in ts])
     a = np.arange(5.0)
     b = np.arange(5.0) * 0.5
     path = tmp_path / "table.csv"
-    write_timestamp_table(path, ["observed", "seasonal"], ts, [a, b])
+    write_timestamp_table(path, ["observed", "seasonal"], us, [a, b])
+    assert path.read_text().splitlines()[:2] == [
+        "timestamp,observed,seasonal",
+        "2020-08-01T00:00:00Z,0.0,0.0",
+    ]
     cols, ts2, data = read_timestamp_table(path)
     assert cols == ["observed", "seasonal"]
-    assert ts2 == ts
+    assert ts2.dtype == np.int64
+    assert_array_equal(ts2, us)
     assert_array_equal(data[:, 0], a)
     assert_array_equal(data[:, 1], b)
+
+
+# ---------------------------------------------------------------------------
+# CSV properties: the grid writer and reader against per-row references
+# ---------------------------------------------------------------------------
+
+STEPS = (0.5, 1.5, 3600.0, 86400.0)
+
+
+@st.composite
+def grid_series(draw, max_rows=30):
+    """Series on the steps above, starting before or after 1970, with or without microseconds."""
+    start = draw(st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9998, 1, 1)))
+    if draw(st.booleans()):
+        start = start.replace(microsecond=0)
+    values = draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=max_rows)
+    )
+    return TimeSeries(start.replace(tzinfo=UTC), draw(st.sampled_from(STEPS)), values)
+
+
+def per_row_csv(columns, timestamps, arrays):
+    """The file a row-at-a-time writer produces."""
+    lines = ["timestamp," + ",".join(columns)]
+    for i, ts in enumerate(timestamps):
+        lines.append(",".join([format_utc(ts)] + [repr(float(arr[i])) for arr in arrays]))
+    return "".join(line + "\n" for line in lines)
+
+
+@given(grid_series(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_per_row_reference(tmp_path_factory, s, ncols):
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    write_series_csv(s, path)
+    assert path.read_bytes() == per_row_csv(["value"], s.timestamps(), [s.values]).encode()
+
+    columns = ["observed", "seasonal", "residual"][:ncols]
+    arrays = [s.values, -s.values, s.values[::-1]][:ncols]
+    write_timestamp_table(path, columns, s.epoch_us(), arrays)
+    assert path.read_bytes() == per_row_csv(columns, s.timestamps(), arrays).encode()
+
+
+@given(grid_series(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reader_accepts_every_utc_spelling(tmp_path_factory, s, data):
+    def spell(ts, form):
+        if form == "Z":
+            return format_utc(ts)
+        if form == "z":
+            return format_utc(ts)[:-1] + "z"
+        if form == "+00:00":
+            return ts.replace(tzinfo=None).isoformat() + "+00:00"
+        return (ts + timedelta(hours=2)).replace(tzinfo=None).isoformat() + "+02:00"
+
+    forms = data.draw(
+        st.lists(st.sampled_from(["Z", "z", "+00:00", "+02:00"]), min_size=len(s), max_size=len(s))
+    )
+    rows = [f"{spell(ts, form)},{v!r}" for ts, form, v in zip(s.timestamps(), forms, s.values.tolist())]
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    path.write_text("timestamp,value\n" + "".join(row + "\n" for row in rows))
+    back = read_series_csv(path)
+    assert back.start == s.start
+    assert back.step == (s.step if len(s) > 1 else 1.0)
+    assert_array_equal(back.values, s.values)
+
+
+def per_row_read(text):
+    """A row-at-a-time reader: returns ``(start, step, values)`` or ``(message, line)``."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
+        return "expected header 'timestamp,<name>[,...]'", 1
+    timestamps, values = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            return "blank line", lineno
+        parts = line.split(",")
+        if len(parts) != len(header):
+            return f"expected {len(header)} fields, found {len(parts)}", lineno
+        try:
+            timestamps.append(parse_utc(parts[0]))
+        except ValueError:
+            return f"bad timestamp {parts[0]!r}", lineno
+        try:
+            row = [float(p) for p in parts[1:]]
+        except ValueError:
+            return "bad numeric value", lineno
+        if not all(np.isfinite(row)):
+            return "non-finite value", lineno
+        values.append(row[0])
+    if header[1:] != ["value"]:
+        return "expected header 'timestamp,value'", 1
+    if not timestamps:
+        return "no data rows", 2
+    if len(timestamps) == 1:
+        return timestamps[0], 1.0, values
+    step = (timestamps[1] - timestamps[0]).total_seconds()
+    if step <= 0:
+        return "timestamps must be strictly ascending", 3
+    for i, ts in enumerate(timestamps):
+        expected = timestamps[0] + timedelta(seconds=i * step)
+        if ts != expected:
+            return f"expected timestamp {format_utc(expected)}, found {format_utc(ts)}", i + 2
+    return timestamps[0], step, values
+
+
+FAULTS = ("blank", "extra field", "missing field", "stamp", "number", "inf", "nan",
+          "off grid", "repeat first", "offset", "header name")
+
+
+@given(grid_series(max_rows=12), st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS)), max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, s, faults):
+    header = "timestamp,value"
+    rows = [[format_utc(ts), repr(v)] for ts, v in zip(s.timestamps(), s.values.tolist())]
+    for index, fault in faults:
+        i = index % len(rows)
+        ts = s.timestamp(i)
+        if fault == "header name":
+            header = "timestamp,level"
+        elif fault == "blank":
+            rows[i] = [""]
+        elif fault == "extra field":
+            rows[i] = rows[i] + ["1.0"]
+        elif fault == "missing field":
+            rows[i] = rows[i][:1]
+        elif fault == "stamp":
+            rows[i][0] = "2020-13-01T00:00:00Z"
+        elif fault == "number":
+            rows[i][-1] = "1.0.0"
+        elif fault in ("inf", "nan"):
+            rows[i][-1] = fault
+        elif fault == "off grid":
+            rows[i][0] = format_utc(ts + timedelta(seconds=0.25))
+        elif fault == "repeat first":
+            rows[i][0] = format_utc(s.start)
+        else:
+            rows[i][0] = ts.replace(tzinfo=None).isoformat() + "+00:00"
+    text = header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    path.write_text(text)
+
+    want = per_row_read(text)
+    if len(want) == 2:
+        with pytest.raises(CsvFormatError) as err:
+            read_series_csv(path)
+        assert (str(err.value), err.value.line) == (f"line {want[1]}: {want[0]}", want[1])
+    else:
+        back = read_series_csv(path)
+        assert (back.start, back.step) == want[:2]
+        assert_array_equal(back.values, want[2])

@@ -17,7 +17,6 @@ from utdd import (
     TrendConfig,
     extract_feature,
     load_sim_config,
-    simulate_component,
     simulate_series,
 )
 from utdd.simulate import sim_config_from_dict, sim_config_to_dict
@@ -125,19 +124,15 @@ def test_simulation_is_deterministic():
     assert a.start == b.start and a.step == b.step
 
 
-def test_draw_order_matches_scalar_replay():
+def one_component(comp, n, seed):
+    cfg = SimConfig(start=T0, step=3600.0, n=n, components=(comp,), seed=seed)
+    return simulate_series(cfg).values
+
+
+def scalar_replay(cfg):
     # the documented consumption order, replayed one scalar draw at a time:
     # missing initial states (gamma then gamma-star per component), then per
     # step each component's interleaved harmonic pairs, then the noise draw
-    cfg = SimConfig(
-        start=T0,
-        step=3600.0,
-        n=60,
-        components=(SeasonalComponentConfig(24, 0.02), SeasonalComponentConfig(7, 0.01)),
-        sigma_eps=0.3,
-        trend=TrendConfig(level=2.0, slope=0.01),
-        seed=99,
-    )
     rng = np.random.default_rng(cfg.seed)
     states = []
     for comp in cfg.components:
@@ -156,14 +151,45 @@ def test_draw_order_matches_scalar_replay():
             state[1] = -g * np.sin(lam) + h * np.cos(lam) + w[1::2]
         eps = rng.standard_normal() * cfg.sigma_eps
         want[t] = cfg.trend.level + cfg.trend.slope * t + total + eps
+    return want
 
-    got = simulate_series(cfg).values
-    assert_array_equal(got, want)
+
+def test_draw_order_matches_scalar_replay():
+    cfg = SimConfig(
+        start=T0,
+        step=3600.0,
+        n=60,
+        components=(SeasonalComponentConfig(24, 0.02), SeasonalComponentConfig(7, 0.01)),
+        sigma_eps=0.3,
+        trend=TrendConfig(level=2.0, slope=0.01),
+        seed=99,
+    )
+    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
+
+
+def test_draw_order_matches_scalar_replay_at_bench_shape():
+    # the benchmark's component lengths: s = 2 has the lambda = pi harmonic,
+    # s = 168 dominates the 96 stacked harmonics; two full weekly periods
+    cfg = SimConfig(
+        start=T0,
+        step=3600.0,
+        n=2 * 168,
+        components=tuple(
+            SeasonalComponentConfig(s, sigma)
+            for s, sigma in ((2, 0.03), (7, 0.02), (24, 0.002), (168, 0.001))
+        ),
+        sigma_eps=0.5,
+        trend=TrendConfig(level=50.0, slope=0.001),
+        seed=2019,
+    )
+    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
 def test_component_draw_order_matches_scalar_replay():
+    # one component with no observation noise: the series is the component,
+    # and each step still consumes the (zero-scaled) noise draw after its pairs
     comp = SeasonalComponentConfig(7, 0.05)
-    got = simulate_component(comp, 40, np.random.default_rng(3))
+    got = one_component(comp, 40, seed=3)
 
     rng = np.random.default_rng(3)
     g = np.array([rng.standard_normal() for _ in range(3)])
@@ -174,12 +200,12 @@ def test_component_draw_order_matches_scalar_replay():
         want[t] = g.sum()
         w = np.array([rng.standard_normal() for _ in range(6)]) * 0.05
         g, h = g * np.cos(lam) + h * np.sin(lam) + w[0::2], -g * np.sin(lam) + h * np.cos(lam) + w[1::2]
+        rng.standard_normal()
     assert_array_equal(got, want)
 
 
 def test_zero_noise_component_is_periodic():
-    comp = SeasonalComponentConfig(24, 0.0)
-    out = simulate_component(comp, 24 * 6, np.random.default_rng(11))
+    out = one_component(SeasonalComponentConfig(24, 0.0), 24 * 6, seed=11)
     assert_allclose(out[24:], out[:-24], atol=1e-9)
 
 
@@ -188,7 +214,7 @@ def test_single_harmonic_is_a_cosine():
     comp = SeasonalComponentConfig(
         24, 0.0, init_gamma=(1.0,) + (0.0,) * (p - 1), init_gamma_star=(0.0,) * p
     )
-    out = simulate_component(comp, 240, np.random.default_rng(0))
+    out = one_component(comp, 240, seed=0)
     t = np.arange(240)
     assert_allclose(out, np.cos(2 * np.pi * t / 24), atol=1e-9)
 
@@ -197,7 +223,7 @@ def test_zero_noise_rotation_conserves_energy():
     # with p=1 the hidden pair can be reconstructed from consecutive outputs;
     # its squared norm must stay constant under the rotation
     comp = SeasonalComponentConfig(3, 0.0, init_gamma=(0.8,), init_gamma_star=(-0.6,))
-    out = simulate_component(comp, 50, np.random.default_rng(0))
+    out = one_component(comp, 50, seed=0)
     lam = 2 * np.pi / 3
     g = out
     h = (out[1:] - out[:-1] * np.cos(lam)) / np.sin(lam)
@@ -265,4 +291,4 @@ def test_trend_only_series():
 
 def test_simulate_component_rejects_bad_n():
     with pytest.raises(InvalidArgumentError):
-        simulate_component(SeasonalComponentConfig(24), 0, np.random.default_rng(0))
+        one_component(SeasonalComponentConfig(24), 0, seed=0)
