@@ -16,7 +16,6 @@ from .drift import (
     load_report,
     run_utdd,
     save_report,
-    utdd,
 )
 from .embeddings import (
     DEFAULT_FEATURE_ORDER,
@@ -28,7 +27,6 @@ from .embeddings import (
     load_model,
     predict_embedding,
     save_model,
-    training_residual,
 )
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError, UtddError
 from .series import (
@@ -98,8 +96,6 @@ __all__ = [
     "save_report",
     "schwert_lags",
     "simulate_series",
-    "training_residual",
-    "utdd",
     "write_series_csv",
     "__version__",
 ]

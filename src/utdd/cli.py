@@ -25,11 +25,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from datetime import date
 from typing import Optional, Sequence
 
 from .drift import (
     DEFAULT_THRESHOLD,
+    DriftReport,
+    load_report,
     run_utdd,
     save_report,
     write_fit_csv,
@@ -54,8 +57,6 @@ def _parse_when(text: str, flag: str):
 
 
 def _parse_holidays(text: Optional[str]) -> frozenset:
-    from datetime import date
-
     if not text:
         return frozenset()
     try:
@@ -103,14 +104,10 @@ def _print_kv(pairs) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _report_lines(doc: dict) -> list:
-    pairs = []
-    if "k_diffs" in doc:
-        pairs.append(("k_diffs", int(doc["k_diffs"])))
-    pairs.extend(
-        (key, doc[key]) for key in ("z_ref", "z_curr", "delta", "threshold", "drifted")
-    )
-    return pairs
+def _print_verdict(report: DriftReport) -> int:
+    """Print the report's fields, one per line; return the exit code of its verdict."""
+    _print_kv(list(asdict(report).items()))
+    return 1 if report.drifted else 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -174,7 +171,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         reuse_model=args.reuse_model,
     )
-    save_report(result.report, args.report_out, extra={"k_diffs": result.k_diffs})
+    save_report(result.report, args.report_out)
     outputs = [args.report_out]
     for name, fit in (("ref", result.reference), ("cur", result.current)):
         fit_path = _sibling(args.report_out, f"{name}_fit.csv")
@@ -183,30 +180,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
         write_residual_csv(fit, residual_path)
         outputs.extend([fit_path, residual_path])
 
-    doc = {"k_diffs": result.k_diffs}
-    doc.update(
-        {
-            "z_ref": result.report.z_ref,
-            "z_curr": result.report.z_curr,
-            "delta": result.report.delta,
-            "threshold": result.report.threshold,
-            "drifted": result.report.drifted,
-        }
-    )
-    _print_kv(_report_lines(doc))
+    code = _print_verdict(result.report)
     for path in outputs:
         print(f"wrote {path}")
-    return 1 if result.report.drifted else 0
+    return code
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with open(args.report, "r") as fh:
-        doc = json.load(fh)
-    for key in ("z_ref", "z_curr", "delta", "threshold", "drifted"):
-        if key not in doc:
-            raise InvalidArgumentError(f"report is missing {key!r}")
-    _print_kv(_report_lines(doc))
-    return 1 if doc["drifted"] else 0
+    return _print_verdict(load_report(args.report))
 
 
 def _build_parser() -> argparse.ArgumentParser:

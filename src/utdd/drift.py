@@ -14,24 +14,24 @@ without touching the pipeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff, write_timestamp_table
+from .series import TimeSeries, diff, is_flat, write_json, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict
 from .stationarity import ndiffs
 
 __all__ = [
     "DEFAULT_THRESHOLD",
+    "REPORT_FORMAT_VERSION",
     "DriftReport",
     "WindowFit",
     "UtddResult",
     "compute_zscore",
     "detect",
-    "utdd",
     "run_utdd",
     "report_to_dict",
     "report_from_dict",
@@ -44,24 +44,27 @@ __all__ = [
 # Smallest round value below the delta this detector is meant to flag.
 DEFAULT_THRESHOLD = 0.1
 
-_ZERO_STD_RTOL = 1e-12
+REPORT_FORMAT_VERSION = 2
+
+# JSON types accepted per DriftReport annotation, compared exactly: bool is an int.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Reference and current window statistics plus the verdict.
+    """The differencing order, both window statistics and the verdict.
 
     ``delta`` is exactly ``|z_curr - z_ref|`` and ``drifted`` is true exactly
-    when ``delta >= threshold``.  ``residual_curr`` keeps the current window's
-    deseasonalized residual for plotting.
+    when ``delta >= threshold``.  The field order is the order in which the
+    report is stored and printed.
     """
 
+    k_diffs: int
     z_ref: float
     z_curr: float
     delta: float
     threshold: float
     drifted: bool
-    residual_curr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,13 @@ class UtddResult:
     """Full pipeline output: the report plus both window fits."""
 
     report: DriftReport
-    k_diffs: int
     reference: WindowFit
     current: WindowFit
+
+    @property
+    def k_diffs(self) -> int:
+        """Differencing order of both windows (``report.k_diffs``)."""
+        return self.report.k_diffs
 
 
 def compute_zscore(residual: Sequence[float]) -> float:
@@ -94,11 +101,9 @@ def compute_zscore(residual: Sequence[float]) -> float:
     r = np.asarray(residual, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise InvalidArgumentError("z-statistic needs at least two residual values")
-    mean = float(r.mean())
-    std = float(r.std())
-    if std < _ZERO_STD_RTOL * (1.0 + abs(mean)):
+    if is_flat(r):
         raise DegenerateInputError("residual has zero variance")
-    return float(np.abs(r - mean).mean() / std)
+    return float(np.abs(r - r.mean()).mean() / r.std())
 
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
@@ -126,8 +131,6 @@ def run_utdd(
     reference model also deseasonalizes the current window, which is the more
     conventional drift-detection design.
     """
-    if not threshold > 0:
-        raise InvalidArgumentError("threshold must be positive")
     k = ndiffs(reference, max_diff=max_diff).k
 
     model_ref = boosted_fit(reference, features, epsilon=epsilon, k_diffs=k)
@@ -144,74 +147,51 @@ def run_utdd(
 
     z_ref = compute_zscore(residual_ref)
     z_curr = compute_zscore(residual_cur)
-    delta = abs(z_curr - z_ref)
     report = DriftReport(
+        k_diffs=k,
         z_ref=z_ref,
         z_curr=z_curr,
-        delta=delta,
+        delta=abs(z_curr - z_ref),
         threshold=float(threshold),
-        drifted=delta >= threshold,
-        residual_curr=residual_cur,
+        drifted=detect(z_ref, z_curr, threshold),
     )
     return UtddResult(
         report=report,
-        k_diffs=k,
         reference=WindowFit(grid_ref, seasonal_ref, residual_ref, model_ref),
         current=WindowFit(grid_cur, seasonal_cur, residual_cur, model_cur),
     )
 
 
-def utdd(
-    reference: TimeSeries,
-    current: TimeSeries,
-    features: Sequence,
-    *,
-    epsilon: Optional[float] = None,
-    max_diff: int = 4,
-    threshold: float = DEFAULT_THRESHOLD,
-    reuse_model: bool = False,
-) -> DriftReport:
-    """Drift verdict between a reference window and a current window."""
-    return run_utdd(
-        reference,
-        current,
-        features,
-        epsilon=epsilon,
-        max_diff=max_diff,
-        threshold=threshold,
-        reuse_model=reuse_model,
-    ).report
-
-
 def report_to_dict(report: DriftReport) -> dict:
-    return {
-        "z_ref": report.z_ref,
-        "z_curr": report.z_curr,
-        "delta": report.delta,
-        "threshold": report.threshold,
-        "drifted": report.drifted,
-        "residual_curr": [float(v) for v in report.residual_curr],
-    }
+    """The stored form of a report: its format version, then every field."""
+    return {"version": REPORT_FORMAT_VERSION, **asdict(report)}
 
 
-def report_from_dict(doc: Mapping) -> DriftReport:
-    return DriftReport(
-        z_ref=float(doc["z_ref"]),
-        z_curr=float(doc["z_curr"]),
-        delta=float(doc["delta"]),
-        threshold=float(doc["threshold"]),
-        drifted=bool(doc["drifted"]),
-        residual_curr=np.asarray(doc["residual_curr"], dtype=np.float64),
-    )
+def report_from_dict(doc) -> DriftReport:
+    """Rebuild a report from :func:`report_to_dict` output, refusing anything else."""
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("report must be a JSON object")
+    version = doc.get("version")
+    if version != REPORT_FORMAT_VERSION:
+        raise InvalidArgumentError(
+            f"unsupported report format version {version!r}; "
+            f"run utdd detect again to write a version {REPORT_FORMAT_VERSION} report"
+        )
+    values = {}
+    for field in fields(DriftReport):
+        if field.name not in doc:
+            raise InvalidArgumentError(f"report is missing {field.name!r}")
+        value = doc[field.name]
+        if type(value) not in _JSON_TYPES[field.type] or value != value:
+            raise InvalidArgumentError(
+                f"report {field.name!r} must be a JSON {field.type}, got {value!r}"
+            )
+        values[field.name] = float(value) if field.type == "float" else value
+    return DriftReport(**values)
 
 
-def save_report(report: DriftReport, path, extra: Optional[Mapping] = None) -> None:
-    doc = report_to_dict(report)
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def save_report(report: DriftReport, path) -> None:
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path) -> DriftReport:

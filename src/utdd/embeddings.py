@@ -17,14 +17,16 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .series import (
     FeatureSpec,
     ResidualStats,
     TimeSeries,
     diff,
     extract_feature,
+    is_flat,
     residual_stats,
+    write_json,
 )
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "predict_embedding",
     "boosted_fit",
     "boosted_predict",
-    "training_residual",
     "DEFAULT_FEATURE_ORDER",
     "MODEL_FORMAT_VERSION",
     "model_to_dict",
@@ -47,9 +48,6 @@ __all__ = [
 DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
 
 MODEL_FORMAT_VERSION = 1
-
-# Relative scale under which a residual counts as identically zero.
-_ZERO_STD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,15 +187,14 @@ def boosted_fit(
 
     work = diff(series, k_diffs)
     residual = work.values.copy()
-    scale = float(residual.std())
-    if scale < _ZERO_STD_RTOL * (1.0 + abs(float(residual.mean()))):
+    if is_flat(residual):
         return BoostedModel(
             stages=(),
             epsilon=float(epsilon) if epsilon is not None else 0.0,
             k_diffs=k_diffs,
             ref_stats=ResidualStats(mean=float(residual.mean()), std=0.0, n=residual.size),
         )
-    eps = float(epsilon) if epsilon is not None else 1e-3 * scale
+    eps = float(epsilon) if epsilon is not None else 1e-3 * float(residual.std())
 
     stages: list[EmbeddingModel] = []
     for spec in features:
@@ -229,14 +226,6 @@ def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
         codes = extract_feature(series_grid, stage.feature)
         out += predict_embedding(stage, codes)
     return out
-
-
-def training_residual(model: BoostedModel, series: TimeSeries) -> np.ndarray:
-    """Replay ``diff(series, k_diffs) - prediction``, the model's residual on its grid."""
-    if model.degenerate:
-        raise DegenerateInputError("degenerate model has no usable residual")
-    grid = diff(series, model.k_diffs)
-    return grid.values - boosted_predict(model, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +303,7 @@ def model_from_dict(doc: Mapping) -> BoostedModel:
 
 
 def save_model(model: BoostedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> BoostedModel:

@@ -8,7 +8,9 @@ freely across threads.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from itertools import repeat
@@ -26,12 +28,15 @@ __all__ = [
     "diff",
     "extract_feature",
     "residual_stats",
+    "is_flat",
     "parse_utc",
     "format_utc",
+    "utc_us",
     "read_series_csv",
     "write_series_csv",
     "read_timestamp_table",
     "write_timestamp_table",
+    "write_json",
 ]
 
 _US_PER_SECOND = 1_000_000
@@ -46,6 +51,21 @@ def _coerce_utc(dt: datetime) -> datetime:
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
+
+
+def utc_us(dt: datetime) -> int:
+    """Exact microseconds since the Unix epoch (naive datetimes are UTC)."""
+    return (_coerce_utc(dt) - _EPOCH) // _ONE_US
+
+
+def is_flat(values) -> bool:
+    """The package's one zero-variance rule: ``std < 1e-10 * (1 + |mean|)``.
+
+    Loose enough that the differences of a deterministic trend, constant up
+    to rounding, count as flat.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.std()) < 1e-10 * (1.0 + abs(float(arr.mean())))
 
 
 def parse_utc(text: str) -> datetime:
@@ -110,13 +130,9 @@ class TimeSeries:
         """Timestamp of the point at ``index``."""
         return self.start + timedelta(seconds=index * self.step)
 
-    def timestamps(self) -> list[datetime]:
-        """Timestamps of every point, in order."""
-        return [self.timestamp(i) for i in range(len(self))]
-
     def epoch_us(self) -> np.ndarray:
         """Microseconds since the Unix epoch for every point (int64)."""
-        base = (self.start - _EPOCH) // _ONE_US
+        base = utc_us(self.start)
         offsets = np.rint(np.arange(len(self)) * (self.step * _US_PER_SECOND))
         return base + offsets.astype(np.int64)
 
@@ -351,6 +367,22 @@ def write_timestamp_table(
         fh.write(text)
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON through a temporary file beside ``path``
+    and :func:`os.replace`, so a failed write leaves ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _first_failure(rows: list, parse) -> int:
     """Index of the first row on which ``parse`` raises ValueError, else ``len(rows)``."""
     for i, row in enumerate(rows):
@@ -410,7 +442,7 @@ def read_timestamp_table(
         faults.append((int(np.argmin(finite)), 3, "non-finite value"))
 
     n_ts = _first_failure(stamps[:2], parse_utc)
-    first = [(parse_utc(text) - _EPOCH) // _ONE_US for text in stamps[:n_ts]]
+    first = [utc_us(parse_utc(text)) for text in stamps[:n_ts]]
     step_us = first[1] - first[0] if len(first) == 2 else 0
     grid = (first[0] if first else 0) + np.arange(n, dtype=np.int64) * step_us
     off_grid = None
@@ -424,7 +456,7 @@ def read_timestamp_table(
             except ValueError:
                 n_ts = i
                 break
-            if off_grid is None and (ts - _EPOCH) // _ONE_US != grid[i]:
+            if off_grid is None and utc_us(ts) != grid[i]:
                 off_grid = (i, ts)
     if n_ts < n:
         faults.append((n_ts, 1, f"bad timestamp {stamps[n_ts]!r}"))

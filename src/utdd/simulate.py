@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .series import FeatureSpec, TimeSeries, extract_feature, parse_utc
+from .series import FeatureSpec, TimeSeries, extract_feature, parse_utc, utc_us
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -46,7 +46,6 @@ __all__ = [
     "SimConfig",
     "simulate_series",
     "sim_config_from_dict",
-    "sim_config_to_dict",
     "load_sim_config",
 ]
 
@@ -188,7 +187,7 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     seasonal_scale = np.ones(n)
     noise_scale = np.ones(n)
     if cfg.drift is not None:
-        cut = np.searchsorted(grid.epoch_us(), _drift_cut_us(cfg.drift.at), side="left")
+        cut = np.searchsorted(grid.epoch_us(), utc_us(cfg.drift.at), side="left")
         level_shift[cut:] = cfg.drift.level_shift
         seasonal_scale[cut:] = cfg.drift.seasonal_scale
         noise_scale[cut:] = cfg.drift.noise_scale
@@ -228,12 +227,6 @@ def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
         np.add(state, rotated, state)
         np.add(state, w, state)
     return history
-
-
-def _drift_cut_us(at: datetime) -> int:
-    from .series import _coerce_utc
-
-    return round(_coerce_utc(at).timestamp() * 1_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -331,43 +324,6 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
         seed=int(doc.get("seed", 0)),
         drift=drift,
     )
-
-
-def sim_config_to_dict(cfg: SimConfig) -> dict:
-    from .series import format_utc
-
-    doc: dict = {
-        "start": format_utc(cfg.start),
-        "step_seconds": cfg.step,
-        "n": cfg.n,
-        "trend": {"level": cfg.trend.level, "slope": cfg.trend.slope},
-        "components": [
-            {
-                "s": comp.s,
-                "sigma_omega": comp.sigma_omega,
-                **({"init_gamma": list(comp.init_gamma)} if comp.init_gamma else {}),
-                **(
-                    {"init_gamma_star": list(comp.init_gamma_star)}
-                    if comp.init_gamma_star
-                    else {}
-                ),
-            }
-            for comp in cfg.components
-        ],
-        "sigma_eps": cfg.sigma_eps,
-        "weekend_scale": cfg.weekend_scale,
-        "holiday_offset": cfg.holiday_offset,
-        "holidays": [d.isoformat() for d in sorted(cfg.holidays)],
-        "seed": cfg.seed,
-    }
-    if cfg.drift is not None:
-        doc["drift"] = {
-            "at": format_utc(cfg.drift.at),
-            "level_shift": cfg.drift.level_shift,
-            "noise_scale": cfg.drift.noise_scale,
-            "seasonal_scale": cfg.drift.seasonal_scale,
-        }
-    return doc
 
 
 def load_sim_config(path) -> SimConfig:

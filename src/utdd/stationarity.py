@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff
+from .series import TimeSeries, diff, is_flat
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
@@ -33,9 +33,6 @@ __all__ = [
 
 # Asymptotic 5% point of the Dickey-Fuller distribution, constant-only case.
 ADF_CRITICAL_5PCT = -2.86
-
-# Relative variance floor below which a series counts as exactly constant.
-DEGENERATE_STD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -192,9 +189,7 @@ def ndiffs(series: TimeSeries, max_diff: int = 4) -> NdiffsResult:
     trail: list[AdfResult] = []
     for k in range(max_diff + 1):
         candidate = diff(series, k)
-        mean = float(candidate.values.mean())
-        std = float(candidate.values.std())
-        if std < DEGENERATE_STD_RTOL * (1.0 + abs(mean)):
+        if is_flat(candidate.values):
             return NdiffsResult(k=k, trail=tuple(trail))
         try:
             result = adf_test(candidate)

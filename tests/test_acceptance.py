@@ -29,7 +29,6 @@ from utdd import (
     run_utdd,
     save_model,
     simulate_series,
-    training_residual,
 )
 from utdd.cli import main
 from utdd.series import read_timestamp_table
@@ -109,7 +108,7 @@ def test_boosting_recovery(capsys):
         )
         series = TimeSeries(datetime(2020, 8, 3, tzinfo=UTC), 3600.0, y)
         model = boosted_fit(series, FEATS, k_diffs=0)
-        resid = training_residual(model, series)
+        resid = series.values - boosted_predict(model, series)
         std_ok += resid.std() <= 1.1 * sigma
         for stage in model.stages:
             codes = extract_feature(series, stage.feature)

@@ -250,6 +250,11 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
                  "--threshold", "0", "--report-out", str(tmp_path / "r.json")]) == 2
     capsys.readouterr()
+    # missing output directory: the error names the report, not a temporary file
+    missing = tmp_path / "missing" / "r.json"
+    assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
+                 "--report-out", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
 
 
 def test_report_mirrors_verdict(fixture_csv, tmp_path, capsys):
@@ -279,6 +284,16 @@ def test_report_errors(tmp_path, capsys):
     partial = tmp_path / "partial.json"
     partial.write_text(json.dumps({"z_ref": 0.5}))
     assert main(["report", "--report", str(partial)]) == 2
+    # exit 1 would claim drift, so a report that cannot be read exits 2
+    good = {"version": 2, "k_diffs": 0, "z_ref": 0.5, "z_curr": 0.5, "delta": 0.0,
+            "threshold": 0.1, "drifted": False}
+    old_format = {k: v for k, v in good.items() if k != "version"}
+    for doc in (5, {**old_format, "residual_curr": [0.1, -0.1]}, {**good, "drifted": "no"},
+                {**good, "k_diffs": "0"}, {**good, "z_ref": "0.5"}):
+        partial.write_text(json.dumps(doc))
+        assert main(["report", "--report", str(partial)]) == 2, doc
+    partial.write_text(json.dumps(good))
+    assert main(["report", "--report", str(partial)]) == 0
     capsys.readouterr()
 
 

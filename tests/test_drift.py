@@ -2,6 +2,8 @@
 
 import json
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,28 +13,41 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from utdd import (
     DegenerateInputError,
+    DriftReport,
     FeatureSpec,
     InvalidArgumentError,
     SeasonalComponentConfig,
     SimConfig,
     TimeSeries,
     TrendConfig,
+    boosted_fit,
     compute_zscore,
     detect,
+    load_model,
     load_report,
+    load_sim_config,
+    ndiffs,
     run_utdd,
+    save_model,
     save_report,
     simulate_series,
-    utdd,
 )
-from utdd.drift import DEFAULT_THRESHOLD, write_fit_csv, write_residual_csv
+from utdd.drift import (
+    DEFAULT_THRESHOLD,
+    REPORT_FORMAT_VERSION,
+    report_from_dict,
+    write_fit_csv,
+    write_residual_csv,
+)
 from utdd.series import read_timestamp_table
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
 SEP = datetime(2020, 9, 1, tzinfo=UTC)
 OCT = datetime(2020, 10, 1, tzinfo=UTC)
+NOV = datetime(2020, 11, 1, tzinfo=UTC)
 FEATS = (FeatureSpec("day_of_week"), FeatureSpec("hour_of_day"))
+FIXTURE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fixture.json"
 
 
 def two_month_series(seed=0):
@@ -47,6 +62,15 @@ def two_month_series(seed=0):
         seed=seed,
     )
     return simulate_series(cfg)
+
+
+@lru_cache(maxsize=None)
+def fixture_series():
+    return simulate_series(load_sim_config(FIXTURE_CONFIG))
+
+
+def affine(series, a, b):
+    return TimeSeries(series.start, series.step, a * series.values + b)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +133,7 @@ def test_detect_rejects_non_positive_threshold():
 def test_self_comparison_has_zero_delta():
     s = two_month_series()
     ref = s.window(T0, SEP)
-    report = utdd(ref, ref, FEATS)
+    report = run_utdd(ref, ref, FEATS).report
     assert report.delta == 0.0
     assert not report.drifted
     assert report.threshold == DEFAULT_THRESHOLD
@@ -117,7 +141,7 @@ def test_self_comparison_has_zero_delta():
 
 def test_clean_windows_do_not_drift():
     s = two_month_series(seed=3)
-    report = utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS)
+    report = run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS).report
     assert not report.drifted
     assert report.delta < 0.05
 
@@ -168,6 +192,63 @@ def test_run_utdd_validation():
         run_utdd(flat, flat, FEATS)
 
 
+def test_one_flatness_rule_for_ndiffs_boosted_fit_and_zscore():
+    # std is 1e-11 * (1 + |mean|): flat under the one 1e-10 rule everywhere
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(400)
+    values = 5.0 + 6e-11 * (z - z.mean()) / z.std()
+    assert abs(values.std() / (1.0 + abs(values.mean())) - 1e-11) < 1e-13
+    flat = TimeSeries(T0, 3600.0, values)
+    result = ndiffs(flat)
+    assert result.k == 0 and result.trail == ()
+    assert boosted_fit(flat, FEATS, k_diffs=0).degenerate
+    with pytest.raises(DegenerateInputError):
+        compute_zscore(values)
+    with pytest.raises(DegenerateInputError):
+        run_utdd(flat, flat, FEATS)
+
+
+@lru_cache(maxsize=None)
+def fixture_result(reuse_model):
+    s = fixture_series()
+    return run_utdd(s.window(T0, OCT), s.window(SEP, NOV), FEATS, reuse_model=reuse_model)
+
+
+@given(
+    a=st.floats(min_value=1e-3, max_value=1e3),
+    b=st.floats(min_value=-1e3, max_value=1e3),
+    reuse_model=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_pipeline_is_affine_invariant(a, b, reuse_model):
+    s = affine(fixture_series(), a, b)
+    moved = run_utdd(s.window(T0, OCT), s.window(SEP, NOV), FEATS, reuse_model=reuse_model)
+    base = fixture_result(reuse_model)
+    assert moved.k_diffs == base.k_diffs
+    assert moved.report.drifted == base.report.drifted
+    assert abs(moved.report.z_ref - base.report.z_ref) < 1e-9
+    assert abs(moved.report.z_curr - base.report.z_curr) < 1e-9
+
+
+@given(
+    start_day=st.integers(min_value=0, max_value=60),
+    days=st.integers(min_value=14, max_value=31),
+    a=st.floats(min_value=1e-3, max_value=1e3),
+    b=st.floats(min_value=-1e3, max_value=1e3),
+)
+@settings(max_examples=30, deadline=None)
+def test_self_comparison_is_exact_and_reuse_changes_nothing(start_day, days, a, b):
+    lo = T0 + timedelta(days=start_day)
+    window = affine(fixture_series(), a, b).window(lo, lo + timedelta(days=days))
+    fitted = run_utdd(window, window, FEATS)
+    reused = run_utdd(window, window, FEATS, reuse_model=True)
+    for res in (fitted, reused):
+        assert res.report.delta == 0.0
+        assert not res.report.drifted
+    assert reused.report == fitted.report
+    assert_array_equal(reused.current.residual, fitted.current.residual)
+
+
 # ---------------------------------------------------------------------------
 # report artifacts
 # ---------------------------------------------------------------------------
@@ -176,16 +257,91 @@ def test_report_json_roundtrip(tmp_path):
     s = two_month_series(seed=8)
     res = run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS)
     path = tmp_path / "report.json"
-    save_report(res.report, path, extra={"k_diffs": res.k_diffs})
+    save_report(res.report, path)
     back = load_report(path)
     assert back.z_ref == res.report.z_ref
     assert back.z_curr == res.report.z_curr
     assert back.delta == res.report.delta
     assert back.threshold == res.report.threshold
     assert back.drifted == res.report.drifted
-    assert_array_equal(back.residual_curr, res.report.residual_curr)
+    assert back.k_diffs == res.k_diffs
     doc = json.loads(path.read_text())
+    # the residual is stored only in the fit and residual CSVs
+    assert list(doc) == ["version", "k_diffs", "z_ref", "z_curr", "delta", "threshold", "drifted"]
+    assert doc["version"] == REPORT_FORMAT_VERSION == 2
     assert doc["k_diffs"] == res.k_diffs
+
+
+REPORT_DOC = {
+    "version": 2,
+    "k_diffs": 1,
+    "z_ref": 0.5,
+    "z_curr": 0.75,
+    "delta": 0.25,
+    "threshold": 0.1,
+    "drifted": True,
+}
+
+
+def without(key):
+    return {k: v for k, v in REPORT_DOC.items() if k != key}
+
+
+def test_report_from_dict_refuses_what_it_cannot_read():
+    assert report_from_dict(REPORT_DOC) == DriftReport(
+        k_diffs=1, z_ref=0.5, z_curr=0.75, delta=0.25, threshold=0.1, drifted=True
+    )
+    # a JSON integer is a number
+    assert report_from_dict({**REPORT_DOC, "z_ref": 1}).z_ref == 1.0
+    refused = [
+        5,
+        None,
+        "report",
+        [REPORT_DOC],
+        without("version"),
+        {**without("version"), "residual_curr": [0.1, -0.1]},  # written before version 2
+        {**REPORT_DOC, "version": 1},
+        {**REPORT_DOC, "version": "2"},
+        *(without(key) for key in REPORT_DOC if key != "version"),
+        {**REPORT_DOC, "drifted": "no"},
+        {**REPORT_DOC, "drifted": 1},
+        {**REPORT_DOC, "drifted": None},
+        {**REPORT_DOC, "k_diffs": 1.0},
+        {**REPORT_DOC, "k_diffs": "1"},
+        {**REPORT_DOC, "k_diffs": True},
+        *(
+            {**REPORT_DOC, key: value}
+            for key in ("z_ref", "z_curr", "delta", "threshold")
+            for value in ("0.5", None, True, [0.5], float("nan"))
+        ),
+    ]
+    for doc in refused:
+        with pytest.raises(InvalidArgumentError):
+            report_from_dict(doc)
+
+
+def test_report_and_model_writes_are_atomic(tmp_path, monkeypatch):
+    s = two_month_series(seed=8)
+    res = run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS)
+
+    def broken_dump(doc, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    for save, load, value, name in (
+        (save_report, load_report, res.report, "report.json"),
+        (save_model, load_model, res.reference.model, "model.json"),
+    ):
+        path = tmp_path / name
+        save(value, path)
+        before = path.read_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dump", broken_dump)
+            with pytest.raises(OSError):
+                save(value, path)
+        assert path.read_bytes() == before
+        load(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "report.json"]
 
 
 def test_fit_csv_and_residual_csv(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from utdd import (
-    DegenerateInputError,
     FeatureSpec,
     InvalidArgumentError,
     TimeSeries,
@@ -21,7 +20,6 @@ from utdd import (
     load_model,
     predict_embedding,
     save_model,
-    training_residual,
 )
 from utdd.embeddings import MODEL_FORMAT_VERSION, model_from_dict, model_to_dict
 
@@ -107,7 +105,7 @@ def test_boosted_fit_recovers_additive_effects():
     s = weeks(10, seed=1, sigma=0.5)
     model = boosted_fit(s, (DOW, HOD), k_diffs=0)
     assert [st_.feature.kind for st_ in model.stages] == ["day_of_week", "hour_of_day"]
-    resid = training_residual(model, s)
+    resid = s.values - boosted_predict(model, s)
     assert resid.std() <= 1.1 * 0.5
     assert_allclose(model.ref_stats.mean, resid.mean(), atol=1e-12)
     assert_allclose(model.ref_stats.std, resid.std(), atol=1e-12)
@@ -124,7 +122,7 @@ def test_boosted_fit_stops_at_first_weak_stage():
     # the same data without the blocking feature fits both calendar stages
     full = boosted_fit(s, (DOW, HOD), k_diffs=0)
     assert len(full.stages) == 2
-    assert training_residual(full, s).std() < training_residual(model, s).std()
+    assert (s.values - boosted_predict(full, s)).std() < (s.values - boosted_predict(model, s)).std()
 
 
 def test_boosted_fit_huge_epsilon_gives_empty_model():
@@ -149,10 +147,10 @@ def test_boosted_fit_with_differencing_replays_consistently():
     s = weeks(6, seed=5)
     model = boosted_fit(s, (DOW, HOD), k_diffs=1)
     assert model.k_diffs == 1
-    resid = training_residual(model, s)
-    assert resid.shape == (len(s) - 1,)
     d = diff(s, 1)
-    assert_allclose(resid, d.values - boosted_predict(model, d), atol=0)
+    resid = d.values - boosted_predict(model, d)
+    assert resid.shape == (len(s) - 1,)
+    assert_allclose(model.ref_stats.mean, resid.mean(), atol=1e-12)
     assert_allclose(model.ref_stats.std, resid.std(), atol=1e-12)
 
 
@@ -174,8 +172,6 @@ def test_boosted_fit_degenerate_constant_series():
     assert model.stages == ()
     assert model.ref_stats.std == 0.0
     assert model.ref_stats.mean == 2.5
-    with pytest.raises(DegenerateInputError):
-        training_residual(model, s)
 
 
 def test_boosted_fit_validation():
