@@ -71,17 +71,7 @@ def _parse_features(text: str, holidays: frozenset) -> tuple:
         kind = token.strip()
         if not kind:
             raise InvalidArgumentError("--features contains an empty entry")
-        if kind == "exogenous":
-            raise InvalidArgumentError(
-                "exogenous features need aligned codes and are only available "
-                "through the library interface"
-            )
-        if kind == "is_holiday":
-            specs.append(FeatureSpec(kind, holiday_dates=holidays))
-        else:
-            specs.append(FeatureSpec(kind))
-    if not specs:
-        raise InvalidArgumentError("--features must name at least one feature")
+        specs.append(FeatureSpec(kind, holiday_dates=holidays if kind == "is_holiday" else None))
     return tuple(specs)
 
 
@@ -259,6 +249,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except json.JSONDecodeError as exc:
         print(f"error: line {exc.lineno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: byte {exc.start}: {exc.reason}", file=sys.stderr)
         return 2
     except UtddError as exc:
         print(f"error: {exc}", file=sys.stderr)

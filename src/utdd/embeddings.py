@@ -11,7 +11,7 @@ stage's root-mean-square contribution drops below the termination tolerance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Optional, Sequence
 
@@ -44,26 +44,34 @@ __all__ = [
     "load_model",
 ]
 
-# Coarse-to-fine calendar structure; exogenous features follow in user order.
+# Coarse-to-fine calendar structure.
 DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class EmbeddingModel:
     """Scalar lookup table for one categorical feature.
 
-    ``table`` maps each category seen in training to the training-target mean
-    of that category; unseen categories fall back to ``global_mean``.
-    ``sse_reduction`` is the training sum of squares explained relative to the
-    global mean, always >= 0.
+    ``lookup`` holds one value per category of the feature: the training-target
+    mean of each category seen in training, ``global_mean`` for the others.
+    It is made read-only at construction.  ``sse_reduction`` is the training
+    sum of squares explained relative to the global mean, always >= 0.
     """
 
     feature: FeatureSpec
-    table: Mapping[int, float]
+    lookup: np.ndarray
     global_mean: float
     sse_reduction: float
+
+    def __post_init__(self) -> None:
+        lookup = np.array(self.lookup, dtype=np.float64)
+        card = self.feature.cardinality
+        if lookup.shape != (card,):
+            raise InvalidArgumentError(f"{self.feature.kind} lookup needs {card} values")
+        lookup.flags.writeable = False
+        object.__setattr__(self, "lookup", lookup)
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,6 @@ class BoostedModel:
     epsilon: float
     k_diffs: int
     ref_stats: ResidualStats
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the training residual had no variance; unusable for drift scoring."""
-        return self.ref_stats.std == 0.0
 
 
 def fit_embedding(
@@ -109,18 +112,15 @@ def fit_embedding(
     counts = np.bincount(codes, minlength=spec.cardinality)
     sums = np.bincount(codes, weights=target, minlength=spec.cardinality)
     seen = np.nonzero(counts)[0]
-    means = sums[seen] / counts[seen]
-    table = {int(c): float(m) for c, m in zip(seen, means)}
-
     global_mean = float(target.mean())
-    lookup = np.zeros(spec.cardinality)
-    lookup[seen] = means
+    lookup = np.full(spec.cardinality, global_mean)
+    lookup[seen] = sums[seen] / counts[seen]
     prediction = lookup[codes]
     sse_baseline = float(((target - global_mean) ** 2).sum())
     sse_fitted = float(((target - prediction) ** 2).sum())
     return EmbeddingModel(
         feature=spec,
-        table=table,
+        lookup=lookup,
         global_mean=global_mean,
         sse_reduction=max(sse_baseline - sse_fitted, 0.0),
     )
@@ -131,27 +131,10 @@ def predict_embedding(model: EmbeddingModel, codes: Sequence[int]) -> np.ndarray
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise InvalidArgumentError("codes must be one-dimensional")
-    if codes.size == 0:
-        return np.zeros(0, dtype=np.float64)
     card = model.feature.cardinality
-    if codes.min() < 0 or codes.max() >= card:
+    if codes.size and (codes.min() < 0 or codes.max() >= card):
         raise InvalidArgumentError(f"codes must lie in [0, {card})")
-    lookup = np.full(card, model.global_mean, dtype=np.float64)
-    for code, value in model.table.items():
-        lookup[code] = value
-    return lookup[codes]
-
-
-def _stage_spec(spec: FeatureSpec, raw_length: int, k_diffs: int) -> FeatureSpec:
-    """Align an exogenous spec to the differenced grid when codes cover the raw series."""
-    if (
-        spec.kind == "exogenous"
-        and spec.exogenous_codes is not None
-        and len(spec.exogenous_codes) == raw_length
-        and k_diffs > 0
-    ):
-        return replace(spec, exogenous_codes=spec.exogenous_codes[k_diffs:])
-    return spec
+    return model.lookup[codes]
 
 
 def boosted_fit(
@@ -167,8 +150,9 @@ def boosted_fit(
     ``epsilon`` defaults to ``1e-3`` times the population std of the
     differenced target (an absolute value may be passed instead).
 
-    A target with no variance after differencing yields a degenerate model
-    with zero stages; scoring drift against it is an error downstream.
+    A target with no variance after differencing yields a model with zero
+    stages and ``ref_stats.std == 0.0``; :func:`compute_zscore` refuses to
+    score its residual.
     """
     features = list(features)
     if not features:
@@ -198,7 +182,6 @@ def boosted_fit(
 
     stages: list[EmbeddingModel] = []
     for spec in features:
-        spec = _stage_spec(spec, len(series), k_diffs)
         codes = extract_feature(work, spec)
         stage = fit_embedding(codes, residual, spec)
         contribution = predict_embedding(stage, codes)
@@ -215,12 +198,7 @@ def boosted_fit(
 
 
 def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
-    """Sum of stage predictions over a time grid (the fitted seasonal component).
-
-    The grid must allow every stage's codes to be derived: calendar features
-    work on any grid, exogenous stages require their stored codes to cover the
-    grid exactly.
-    """
+    """Sum of stage predictions over any time grid (the fitted seasonal component)."""
     out = np.zeros(len(series_grid), dtype=np.float64)
     for stage in model.stages:
         codes = extract_feature(series_grid, stage.feature)
@@ -235,25 +213,16 @@ def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
 
 
 def _feature_to_dict(spec: FeatureSpec) -> dict:
-    doc: dict = {"kind": spec.kind, "cardinality": spec.cardinality}
+    doc: dict = {"kind": spec.kind}
     if spec.holiday_dates is not None:
         doc["holiday_dates"] = [d.isoformat() for d in sorted(spec.holiday_dates)]
-    if spec.exogenous_codes is not None:
-        doc["exogenous_codes"] = list(spec.exogenous_codes)
     return doc
 
 
 def _feature_from_dict(doc: Mapping) -> FeatureSpec:
-    holidays = doc.get("holiday_dates")
-    codes = doc.get("exogenous_codes")
-    return FeatureSpec(
-        kind=doc["kind"],
-        cardinality=int(doc["cardinality"]),
-        holiday_dates=(
-            frozenset(date.fromisoformat(d) for d in holidays) if holidays is not None else None
-        ),
-        exogenous_codes=tuple(codes) if codes is not None else None,
-    )
+    if "holiday_dates" not in doc:
+        return FeatureSpec(doc["kind"])
+    return FeatureSpec(doc["kind"], frozenset(map(date.fromisoformat, doc["holiday_dates"])))
 
 
 def model_to_dict(model: BoostedModel) -> dict:
@@ -269,7 +238,7 @@ def model_to_dict(model: BoostedModel) -> dict:
         "stages": [
             {
                 "feature": _feature_to_dict(stage.feature),
-                "table": {str(code): value for code, value in sorted(stage.table.items())},
+                "lookup": stage.lookup.tolist(),
                 "global_mean": stage.global_mean,
                 "sse_reduction": stage.sse_reduction,
             }
@@ -278,28 +247,39 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
-def model_from_dict(doc: Mapping) -> BoostedModel:
+def model_from_dict(doc) -> BoostedModel:
+    """Rebuild a model from :func:`model_to_dict` output, refusing anything else."""
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("model must be a JSON object")
     version = doc.get("version")
     if version != MODEL_FORMAT_VERSION:
-        raise InvalidArgumentError(f"unsupported model format version {version!r}")
-    stats = doc["ref_stats"]
-    stages = tuple(
-        EmbeddingModel(
-            feature=_feature_from_dict(stage["feature"]),
-            table={int(code): float(value) for code, value in stage["table"].items()},
-            global_mean=float(stage["global_mean"]),
-            sse_reduction=float(stage["sse_reduction"]),
+        raise InvalidArgumentError(
+            f"unsupported model format version {version!r}; "
+            f"run utdd fit again to write a version {MODEL_FORMAT_VERSION} model"
         )
-        for stage in doc["stages"]
-    )
-    return BoostedModel(
-        stages=stages,
-        epsilon=float(doc["epsilon"]),
-        k_diffs=int(doc["k_diffs"]),
-        ref_stats=ResidualStats(
-            mean=float(stats["mean"]), std=float(stats["std"]), n=int(stats["n"])
-        ),
-    )
+    try:
+        stats = doc["ref_stats"]
+        stages = tuple(
+            EmbeddingModel(
+                feature=_feature_from_dict(stage["feature"]),
+                lookup=stage["lookup"],
+                global_mean=float(stage["global_mean"]),
+                sse_reduction=float(stage["sse_reduction"]),
+            )
+            for stage in doc["stages"]
+        )
+        return BoostedModel(
+            stages=stages,
+            epsilon=float(doc["epsilon"]),
+            k_diffs=int(doc["k_diffs"]),
+            ref_stats=ResidualStats(
+                mean=float(stats["mean"]), std=float(stats["std"]), n=int(stats["n"])
+            ),
+        )
+    except KeyError as exc:
+        raise InvalidArgumentError(f"model is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed model: {exc}") from None
 
 
 def save_model(model: BoostedModel, path) -> None:

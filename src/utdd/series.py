@@ -158,7 +158,7 @@ class TimeSeries:
         return TimeSeries(self.timestamp(i_lo), self.step, self.values[i_lo:i_hi])
 
 
-_CALENDAR_CARDINALITY = {
+_CARDINALITY = {
     "hour_of_day": 24,
     "day_of_week": 7,
     "month_of_year": 12,
@@ -166,12 +166,12 @@ _CALENDAR_CARDINALITY = {
     "is_holiday": 2,
 }
 
-FEATURE_KINDS = tuple(_CALENDAR_CARDINALITY) + ("exogenous",)
+FEATURE_KINDS = tuple(_CARDINALITY)
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One categorical feature derivable from the time grid (or supplied codes).
+    """One categorical calendar feature, derived from each point's timestamp.
 
     Code conventions:
 
@@ -180,34 +180,19 @@ class FeatureSpec:
     * ``month_of_year``: January=0 .. December=11
     * ``is_weekend``: 1 on Saturday/Sunday, else 0
     * ``is_holiday``: 1 on dates listed in ``holiday_dates``, else 0
-    * ``exogenous``: caller-supplied codes in ``[0, cardinality)`` aligned to
-      the target series
 
-    Calendar kinds fill their cardinality automatically; passing a mismatched
-    one is an error.  All calendar math is UTC with the proleptic Gregorian
-    calendar; there is no timezone or DST handling.
+    All calendar math is UTC with the proleptic Gregorian calendar; there is
+    no timezone or DST handling.
     """
 
     kind: str
-    cardinality: int = 0
     holiday_dates: Optional[frozenset] = None
-    exogenous_codes: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FEATURE_KINDS:
             raise InvalidArgumentError(
                 f"unknown feature kind {self.kind!r}; expected one of {FEATURE_KINDS}"
             )
-        if self.kind == "exogenous":
-            if self.cardinality < 1:
-                raise InvalidArgumentError("exogenous features must declare a positive cardinality")
-        else:
-            expected = _CALENDAR_CARDINALITY[self.kind]
-            if self.cardinality not in (0, expected):
-                raise InvalidArgumentError(
-                    f"{self.kind} has cardinality {expected}, not {self.cardinality}"
-                )
-            object.__setattr__(self, "cardinality", expected)
         if self.holiday_dates is not None:
             if self.kind != "is_holiday":
                 raise InvalidArgumentError("holiday_dates only applies to is_holiday features")
@@ -217,13 +202,11 @@ class FeatureSpec:
             if not all(isinstance(d, date) for d in dates):
                 raise InvalidArgumentError("holiday_dates must contain calendar dates")
             object.__setattr__(self, "holiday_dates", dates)
-        if self.exogenous_codes is not None:
-            if self.kind != "exogenous":
-                raise InvalidArgumentError("exogenous_codes only applies to exogenous features")
-            codes = tuple(int(c) for c in self.exogenous_codes)
-            if any(c < 0 or c >= self.cardinality for c in codes):
-                raise InvalidArgumentError("exogenous codes must lie in [0, cardinality)")
-            object.__setattr__(self, "exogenous_codes", codes)
+
+    @property
+    def cardinality(self) -> int:
+        """Number of categories; every code lies in ``[0, cardinality)``."""
+        return _CARDINALITY[self.kind]
 
 
 @dataclass(frozen=True)
@@ -263,19 +246,8 @@ def diff(series: TimeSeries, k: int) -> TimeSeries:
 def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     """Category id per point, computed from each point's timestamp.
 
-    Exogenous specs simply return their stored codes, which must cover the
-    series exactly.  The result is an int64 array with every id below
-    ``spec.cardinality``.
+    The result is an int64 array with every id below ``spec.cardinality``.
     """
-    n = len(series)
-    if spec.kind == "exogenous":
-        if spec.exogenous_codes is None or len(spec.exogenous_codes) != n:
-            have = 0 if spec.exogenous_codes is None else len(spec.exogenous_codes)
-            raise InvalidArgumentError(
-                f"exogenous feature supplies {have} codes for a series of {n} points"
-            )
-        return np.asarray(spec.exogenous_codes, dtype=np.int64)
-
     us = series.epoch_us()
     if spec.kind == "hour_of_day":
         return ((us // _US_PER_HOUR) % 24).astype(np.int64)
@@ -292,7 +264,7 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     if spec.holiday_dates is None:
         raise InvalidArgumentError("is_holiday extraction requires holiday_dates")
     if not spec.holiday_dates:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(len(series), dtype=np.int64)
     days = us.astype("datetime64[us]").astype("datetime64[D]")
     table = np.array(sorted(spec.holiday_dates), dtype="datetime64[D]")
     return np.isin(days, table).astype(np.int64)

@@ -127,6 +127,8 @@ class SimConfig:
             raise InvalidArgumentError("n must be at least 1")
         if not self.sigma_eps >= 0:
             raise InvalidArgumentError("sigma_eps must be non-negative")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be non-negative")
         object.__setattr__(self, "components", tuple(self.components))
         holidays = frozenset(
             d.date() if isinstance(d, datetime) else d for d in self.holidays
@@ -248,46 +250,64 @@ _TOP_KEYS = {
 }
 
 
-def _reject_unknown(doc: Mapping, allowed: set, where: str) -> None:
+def _reject_unknown(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{where} must be a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise InvalidArgumentError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
 
 
+def _value(doc: Mapping, key: str, convert, default=None, prefix: str = ""):
+    """``convert(doc[key])``, or ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"bad '{prefix}{key}': {exc}") from None
+
+
+def _utc(text) -> datetime:
+    if not isinstance(text, str):
+        raise TypeError(f"expected ISO-8601 text, got {text!r}")
+    return parse_utc(text)
+
+
+def _floats(values) -> tuple:
+    return tuple(map(float, values))
+
+
 def sim_config_from_dict(doc: Mapping) -> SimConfig:
     """Build a :class:`SimConfig` from a parsed JSON document."""
     _reject_unknown(doc, _TOP_KEYS, "config")
-    try:
-        start = parse_utc(doc["start"])
-    except KeyError:
-        raise InvalidArgumentError("config requires 'start'") from None
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad 'start': {exc}") from None
-    for key in ("step_seconds", "n"):
+    for key in ("start", "step_seconds", "n"):
         if key not in doc:
             raise InvalidArgumentError(f"config requires {key!r}")
+    start = _value(doc, "start", _utc)
 
     trend_doc = doc.get("trend", {})
     _reject_unknown(trend_doc, {"level", "slope"}, "trend")
     trend = TrendConfig(
-        level=float(trend_doc.get("level", 0.0)), slope=float(trend_doc.get("slope", 0.0))
+        level=_value(trend_doc, "level", float, 0.0, "trend."),
+        slope=_value(trend_doc, "slope", float, 0.0, "trend."),
     )
 
     components = []
-    for i, comp in enumerate(doc.get("components", [])):
-        _reject_unknown(
-            comp, {"s", "sigma_omega", "init_gamma", "init_gamma_star"}, f"components[{i}]"
-        )
+    comp_docs = doc.get("components", [])
+    if not isinstance(comp_docs, list):
+        raise InvalidArgumentError("components must be a JSON array")
+    for i, comp in enumerate(comp_docs):
+        where = f"components[{i}]"
+        _reject_unknown(comp, {"s", "sigma_omega", "init_gamma", "init_gamma_star"}, where)
         if "s" not in comp:
-            raise InvalidArgumentError(f"components[{i}] requires 's'")
+            raise InvalidArgumentError(f"{where} requires 's'")
         components.append(
             SeasonalComponentConfig(
-                s=int(comp["s"]),
-                sigma_omega=float(comp.get("sigma_omega", 0.0)),
-                init_gamma=tuple(comp["init_gamma"]) if "init_gamma" in comp else None,
-                init_gamma_star=(
-                    tuple(comp["init_gamma_star"]) if "init_gamma_star" in comp else None
-                ),
+                s=_value(comp, "s", int, None, f"{where}."),
+                sigma_omega=_value(comp, "sigma_omega", float, 0.0, f"{where}."),
+                init_gamma=_value(comp, "init_gamma", _floats, None, f"{where}."),
+                init_gamma_star=_value(comp, "init_gamma_star", _floats, None, f"{where}."),
             )
         )
 
@@ -300,28 +320,28 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
         if "at" not in drift_doc:
             raise InvalidArgumentError("drift requires 'at'")
         drift = DriftInjection(
-            at=parse_utc(drift_doc["at"]),
-            level_shift=float(drift_doc.get("level_shift", 0.0)),
-            noise_scale=float(drift_doc.get("noise_scale", 1.0)),
-            seasonal_scale=float(drift_doc.get("seasonal_scale", 1.0)),
+            at=_value(drift_doc, "at", _utc, None, "drift."),
+            level_shift=_value(drift_doc, "level_shift", float, 0.0, "drift."),
+            noise_scale=_value(drift_doc, "noise_scale", float, 1.0, "drift."),
+            seasonal_scale=_value(drift_doc, "seasonal_scale", float, 1.0, "drift."),
         )
 
     try:
         holidays = frozenset(date.fromisoformat(d) for d in doc.get("holidays", []))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"bad holiday date: {exc}") from None
 
     return SimConfig(
         start=start,
-        step=float(doc["step_seconds"]),
-        n=int(doc["n"]),
+        step=_value(doc, "step_seconds", float),
+        n=_value(doc, "n", int),
         trend=trend,
         components=tuple(components),
-        sigma_eps=float(doc.get("sigma_eps", 0.0)),
-        weekend_scale=float(doc.get("weekend_scale", 1.0)),
-        holiday_offset=float(doc.get("holiday_offset", 0.0)),
+        sigma_eps=_value(doc, "sigma_eps", float, 0.0),
+        weekend_scale=_value(doc, "weekend_scale", float, 1.0),
+        holiday_offset=_value(doc, "holiday_offset", float, 0.0),
         holidays=holidays,
-        seed=int(doc.get("seed", 0)),
+        seed=_value(doc, "seed", int, 0),
         drift=drift,
     )
 

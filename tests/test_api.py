@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from dataclasses import fields
 
 import utdd
 
@@ -9,7 +10,7 @@ import utdd
 REMOVED = {
     "utdd": ("utdd", "training_residual"),  # run_utdd(...).report; WindowFit.residual
     "utdd.drift": ("utdd",),
-    "utdd.embeddings": ("training_residual",),
+    "utdd.embeddings": ("training_residual", "_stage_spec"),
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
 }
 
@@ -27,3 +28,15 @@ def test_exported_names_resolve_and_removed_names_are_gone():
             assert name not in getattr(module, "__all__", ())
     assert not hasattr(utdd.TimeSeries, "timestamps")
     assert "residual_curr" not in utdd.DriftReport.__dataclass_fields__
+
+
+def test_features_are_calendar_kinds_and_stages_dense_lookups():
+    assert [f.name for f in fields(utdd.FeatureSpec)] == ["kind", "holiday_dates"]
+    assert "exogenous" not in utdd.FEATURE_KINDS
+    assert len(utdd.FEATURE_KINDS) == 5
+    assert [f.name for f in fields(utdd.EmbeddingModel)] == [
+        "feature", "lookup", "global_mean", "sse_reduction"
+    ]
+    assert not hasattr(utdd.EmbeddingModel, "table")
+    assert not hasattr(utdd.BoostedModel, "degenerate")
+    assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__

@@ -24,6 +24,15 @@ def fixture_csv(tmp_path_factory):
     return out
 
 
+def utf16(text):
+    """``text`` as UTF-16 with a little-endian byte-order mark (starts ``\\xff\\xfe``)."""
+    return b"\xff\xfe" + text.encode("utf-16-le")
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -90,6 +99,35 @@ def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("UTDD_SEED", "not-a-number")
     assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(tmp_path / "x.csv")]) == 2
     assert "UTDD_SEED" in capsys.readouterr().err
+    monkeypatch.setenv("UTDD_SEED", "-1")
+    assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(tmp_path / "x.csv")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+MINIMAL_CONFIG = {"start": "2020-08-01T00:00:00Z", "step_seconds": 3600, "n": 48}
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps([]).encode(),
+        json.dumps({**MINIMAL_CONFIG, "n": "abc"}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "trend": 5}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "components": [{"s": 24, "init_gamma": 5}]}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "drift": {"at": "bad"}}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "start": 5}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "seed": -1}).encode(),
+        utf16(json.dumps(MINIMAL_CONFIG)),
+    ],
+    ids=["list", "n-text", "trend-number", "init_gamma-number", "drift-at-text",
+         "start-number", "seed-negative", "utf16"],
+)
+def test_simulate_malformed_config_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +201,7 @@ def test_fit_errors(fixture_csv, tmp_path, capsys):
     args = ["fit", "--input", str(fixture_csv), "--from", "2020-08-01T00:00:00Z",
             "--to", "2020-10-01T00:00:00Z", "--model-out", str(tmp_path / "m.json")]
     assert main(args + ["--features", "exogenous"]) == 2
+    assert "unknown feature kind 'exogenous'" in capsys.readouterr().err
     assert main(args + ["--features", "day_of_week,,hour_of_day"]) == 2
     assert main(args + ["--features", "no_such"]) == 2
     assert main(["fit", "--input", str(tmp_path / "missing.csv"),
@@ -255,6 +294,11 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
                  "--report-out", str(missing)]) == 2
     assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
+    utf16_csv = tmp_path / "utf16.csv"
+    utf16_csv.write_bytes(utf16(fixture_csv.read_text()))
+    assert main(["detect", "--input", str(utf16_csv), *REF, *CUR,
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_report_mirrors_verdict(fixture_csv, tmp_path, capsys):
@@ -295,6 +339,10 @@ def test_report_errors(tmp_path, capsys):
     partial.write_text(json.dumps(good))
     assert main(["report", "--report", str(partial)]) == 0
     capsys.readouterr()
+    # a UTF-16 file is not read as a report, and its decode error is not a verdict
+    partial.write_bytes(utf16(json.dumps(good)))
+    assert main(["report", "--report", str(partial)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_cli_requires_a_subcommand(capsys):

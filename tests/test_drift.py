@@ -201,7 +201,8 @@ def test_one_flatness_rule_for_ndiffs_boosted_fit_and_zscore():
     flat = TimeSeries(T0, 3600.0, values)
     result = ndiffs(flat)
     assert result.k == 0 and result.trail == ()
-    assert boosted_fit(flat, FEATS, k_diffs=0).degenerate
+    model = boosted_fit(flat, FEATS, k_diffs=0)
+    assert model.ref_stats.std == 0.0 and model.stages == ()
     with pytest.raises(DegenerateInputError):
         compute_zscore(values)
     with pytest.raises(DegenerateInputError):

@@ -1,5 +1,7 @@
 """Tests for categorical embedding stages and the boosted seasonal fit."""
 
+import copy
+import json
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -50,22 +52,25 @@ def weeks(n_weeks, seed=0, sigma=0.5, dow_scale=2.0, hod_scale=3.0):
 # ---------------------------------------------------------------------------
 
 def test_fit_embedding_group_means_by_hand():
-    spec = FeatureSpec("exogenous", cardinality=2)
+    spec = FeatureSpec("is_weekend")
     m = fit_embedding([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0], spec)
-    assert m.table == {0: 1.5, 1: 3.5}
+    assert m.lookup.tolist() == [1.5, 3.5]
     assert m.global_mean == 2.5
     # baseline SSE 5.0, fitted SSE 1.0
     assert_allclose(m.sse_reduction, 4.0)
 
 
 def test_fit_embedding_unseen_category_falls_back_to_global_mean():
-    spec = FeatureSpec("exogenous", cardinality=3)
+    spec = FeatureSpec("day_of_week")
     m = fit_embedding([0, 0, 1], [2.0, 4.0, 9.0], spec)
+    assert m.lookup.tolist() == [3.0, 9.0, 5.0, 5.0, 5.0, 5.0, 5.0]
     assert_array_equal(predict_embedding(m, [0, 1, 2]), [3.0, 9.0, 5.0])
+    with pytest.raises(ValueError):
+        m.lookup[2] = 0.0  # read-only
 
 
 def test_fit_embedding_validation():
-    spec = FeatureSpec("exogenous", cardinality=2)
+    spec = FeatureSpec("is_weekend")
     with pytest.raises(InvalidArgumentError):
         fit_embedding([0, 1], [1.0], spec)
     with pytest.raises(InvalidArgumentError):
@@ -77,9 +82,11 @@ def test_fit_embedding_validation():
 
 
 def test_predict_embedding_empty_codes():
-    spec = FeatureSpec("exogenous", cardinality=2)
+    spec = FeatureSpec("is_weekend")
     m = fit_embedding([0, 1], [1.0, 2.0], spec)
     assert predict_embedding(m, []).shape == (0,)
+    with pytest.raises(InvalidArgumentError):
+        predict_embedding(m, [0, 2])
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -90,7 +97,7 @@ def test_fit_embedding_residual_means_vanish(seed):
     n = 200
     codes = rng.integers(0, 7, n)
     target = rng.normal(0, 3, n)
-    spec = FeatureSpec("exogenous", cardinality=7)
+    spec = FeatureSpec("day_of_week")
     m = fit_embedding(codes, target, spec)
     resid = target - predict_embedding(m, codes)
     for c in np.unique(codes):
@@ -129,7 +136,7 @@ def test_boosted_fit_huge_epsilon_gives_empty_model():
     s = weeks(4, seed=3)
     model = boosted_fit(s, (DOW, HOD), epsilon=1e9, k_diffs=0)
     assert model.stages == ()
-    assert not model.degenerate
+    assert model.ref_stats.std > 0.0
     grid = hourly(np.zeros(24))
     assert_array_equal(boosted_predict(model, grid), np.zeros(24))
 
@@ -168,7 +175,6 @@ def test_boosted_predict_on_heldout_grid():
 def test_boosted_fit_degenerate_constant_series():
     s = hourly(np.full(400, 2.5))
     model = boosted_fit(s, (DOW, HOD), k_diffs=0)
-    assert model.degenerate
     assert model.stages == ()
     assert model.ref_stats.std == 0.0
     assert model.ref_stats.mean == 2.5
@@ -185,18 +191,6 @@ def test_boosted_fit_validation():
     # 40 points cannot support an hour-of-day table (needs 2 * 24)
     with pytest.raises(InvalidArgumentError):
         boosted_fit(hourly(np.arange(40.0)), (HOD,), k_diffs=0)
-
-
-def test_boosted_fit_exogenous_codes_align_after_differencing():
-    rng = np.random.default_rng(8)
-    n = 120
-    codes = tuple(int(c) for c in rng.integers(0, 3, n))
-    effects = np.array([0.0, 4.0, -4.0])
-    y = np.cumsum(rng.normal(0, 0.1, n)) + effects[list(codes)]
-    spec = FeatureSpec("exogenous", cardinality=3, exogenous_codes=codes)
-    model = boosted_fit(hourly(y), (spec,), k_diffs=1)
-    stage_codes = model.stages[0].feature.exogenous_codes
-    assert stage_codes == codes[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +211,11 @@ def test_model_json_roundtrip_is_exact(tmp_path):
     assert len(back.stages) == len(model.stages)
     for a, b in zip(model.stages, back.stages):
         assert a.feature == b.feature
-        assert a.table == b.table
+        assert_array_equal(a.lookup, b.lookup)
         assert a.global_mean == b.global_mean
         assert a.sse_reduction == b.sse_reduction
     grid = hourly(np.zeros(500))
     assert_array_equal(boosted_predict(back, grid), boosted_predict(model, grid))
-
-
-def test_model_roundtrip_keeps_exogenous_codes():
-    codes = (0, 1, 2, 0, 1, 2, 0, 1)
-    spec = FeatureSpec("exogenous", cardinality=3, exogenous_codes=codes)
-    s = hourly([1.0, 5.0, -2.0, 1.5, 5.5, -2.5, 0.5, 4.5])
-    model = boosted_fit(s, (spec,), k_diffs=0)
-    back = model_from_dict(model_to_dict(model))
-    assert back.stages[0].feature.exogenous_codes == codes
 
 
 def test_model_version_is_checked():
@@ -242,14 +227,76 @@ def test_model_version_is_checked():
         model_from_dict(doc)
 
 
-def test_model_tables_survive_integer_keys():
+def test_model_v2_stores_dense_lookups_and_refuses_v1():
     s = weeks(4, seed=11)
     model = boosted_fit(s, (DOW,), k_diffs=0)
     doc = model_to_dict(model)
-    # JSON object keys are strings; they must come back as ints
-    back = model_from_dict(doc)
-    assert set(back.stages[0].table) == set(range(7))
+    assert doc["version"] == MODEL_FORMAT_VERSION == 2
+    assert list(doc["stages"][0]) == ["feature", "lookup", "global_mean", "sse_reduction"]
+    assert doc["stages"][0]["feature"] == {"kind": "day_of_week"}
+    assert doc["stages"][0]["lookup"] == model.stages[0].lookup.tolist()
+    back = model_from_dict(json.loads(json.dumps(doc)))
     codes = extract_feature(s, DOW)
     assert_array_equal(
         predict_embedding(back.stages[0], codes), predict_embedding(model.stages[0], codes)
     )
+    # a version 1 document: codes-to-means dict per stage, cardinality per feature
+    stage = doc["stages"][0]
+    v1 = {
+        **doc,
+        "version": 1,
+        "stages": [
+            {
+                "feature": {"kind": "day_of_week", "cardinality": 7},
+                "table": {str(c): v for c, v in enumerate(stage["lookup"])},
+                "global_mean": stage["global_mean"],
+                "sse_reduction": stage["sse_reduction"],
+            }
+        ],
+    }
+    with pytest.raises(InvalidArgumentError, match="version 1"):
+        model_from_dict(v1)
+    short = copy.deepcopy(doc)
+    short["stages"][0]["lookup"] = stage["lookup"][:6]
+    with pytest.raises(InvalidArgumentError, match="needs 7 values"):
+        model_from_dict(short)
+
+
+def _malformed_model_docs():
+    doc = model_to_dict(boosted_fit(weeks(4, seed=12), (DOW, HOD), k_diffs=0))
+    assert len(doc["stages"]) == 2
+    changes = {
+        "no-ref_stats": lambda d: d.pop("ref_stats"),
+        "no-epsilon": lambda d: d.pop("epsilon"),
+        "no-ref_stats.n": lambda d: d["ref_stats"].pop("n"),
+        "ref_stats-list": lambda d: d.update(ref_stats=[1, 2]),
+        "k_diffs-text": lambda d: d.update(k_diffs="one"),
+        "epsilon-null": lambda d: d.update(epsilon=None),
+        "stages-number": lambda d: d.update(stages=5),
+        "stage-text": lambda d: d.update(stages=["stage"]),
+        "no-lookup": lambda d: d["stages"][0].pop("lookup"),
+        "lookup-object": lambda d: d["stages"][0].update(lookup={"0": 1.0}),
+        "lookup-text": lambda d: d["stages"][0].update(lookup=["x"] * 7),
+        "lookup-nested": lambda d: d["stages"][0].update(lookup=[[1.0] * 7]),
+        "lookup-number": lambda d: d["stages"][0].update(lookup=3.0),
+        "lookup-long": lambda d: d["stages"][1].update(lookup=[0.0] * 25),
+        "feature-list": lambda d: d["stages"][0].update(feature=["day_of_week"]),
+        "feature-empty": lambda d: d["stages"][0].update(feature={}),
+        "feature-exogenous": lambda d: d["stages"][0].update(feature={"kind": "exogenous"}),
+        "holidays-on-dow": lambda d: d["stages"][0]["feature"].update(
+            holiday_dates=["2020-01-01"]
+        ),
+        "global_mean-text": lambda d: d["stages"][0].update(global_mean="mean"),
+    }
+    params = [pytest.param([], id="list"), pytest.param("model", id="text")]
+    for name, change in changes.items():
+        out = copy.deepcopy(doc)
+        change(out)
+        params.append(pytest.param(out, id=name))
+    return params
+
+
+@pytest.mark.parametrize("doc", _malformed_model_docs())
+def test_model_from_dict_refuses_malformed_documents(doc):
+    with pytest.raises(InvalidArgumentError):
+        model_from_dict(doc)

@@ -211,24 +211,11 @@ def test_is_holiday_requires_dates():
         extract_feature(s, FeatureSpec("is_holiday"))
 
 
-def test_exogenous_codes_passthrough_and_validation():
-    s = hourly(np.zeros(4))
-    spec = FeatureSpec("exogenous", cardinality=3, exogenous_codes=(0, 2, 1, 0))
-    assert_array_equal(extract_feature(s, spec), [0, 2, 1, 0])
-    short = FeatureSpec("exogenous", cardinality=3, exogenous_codes=(0, 1))
-    with pytest.raises(InvalidArgumentError):
-        extract_feature(s, short)
-    with pytest.raises(InvalidArgumentError):
-        FeatureSpec("exogenous", cardinality=3, exogenous_codes=(0, 3))
-    with pytest.raises(InvalidArgumentError):
-        FeatureSpec("exogenous")  # needs a cardinality
-
-
 def test_feature_spec_validation():
     with pytest.raises(InvalidArgumentError):
         FeatureSpec("no_such_feature")
     with pytest.raises(InvalidArgumentError):
-        FeatureSpec("hour_of_day", cardinality=7)
+        FeatureSpec("exogenous")  # calendar kinds only
     with pytest.raises(InvalidArgumentError):
         FeatureSpec("day_of_week", holiday_dates=frozenset([date(2020, 1, 1)]))
     assert FeatureSpec("day_of_week").cardinality == 7
