@@ -20,6 +20,7 @@ from utdd import (
     write_series_csv,
 )
 from utdd.series import (
+    FEATURE_KINDS,
     format_utc,
     parse_utc,
     read_timestamp_table,
@@ -211,11 +212,19 @@ def test_is_holiday_requires_dates():
         extract_feature(s, FeatureSpec("is_holiday"))
 
 
+def test_exogenous_codes_passthrough_and_validation():
+    # exogenous code passthrough is gone: the kind is refused, and so are the
+    # arguments that used to carry the codes
+    with pytest.raises(InvalidArgumentError):
+        FeatureSpec("exogenous")
+    with pytest.raises(TypeError):
+        FeatureSpec("exogenous", cardinality=3, exogenous_codes=(0, 2, 1, 0))
+    assert "exogenous" not in FEATURE_KINDS
+
+
 def test_feature_spec_validation():
     with pytest.raises(InvalidArgumentError):
         FeatureSpec("no_such_feature")
-    with pytest.raises(InvalidArgumentError):
-        FeatureSpec("exogenous")  # calendar kinds only
     with pytest.raises(InvalidArgumentError):
         FeatureSpec("day_of_week", holiday_dates=frozenset([date(2020, 1, 1)]))
     assert FeatureSpec("day_of_week").cardinality == 7
