@@ -192,8 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(handler=cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="fit a seasonal model on one window")
-    p_fit.add_argument("--input", required=True, help="input series CSV")
+    window_fit = argparse.ArgumentParser(add_help=False)
+    window_fit.add_argument("--input", required=True, help="input series CSV")
+    window_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
+    window_fit.add_argument("--epsilon", type=float, help="stage termination threshold")
+    window_fit.add_argument("--max-diff", type=int, default=4, help="differencing cap (default 4)")
+
+    p_fit = sub.add_parser("fit", parents=[window_fit], help="fit a seasonal model on one window")
     p_fit.add_argument("--from", dest="window_from", required=True, metavar="ISO")
     p_fit.add_argument("--to", dest="window_to", required=True, metavar="ISO")
     p_fit.add_argument(
@@ -201,14 +206,12 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated feature kinds, e.g. day_of_week,hour_of_day",
     )
-    p_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
-    p_fit.add_argument("--epsilon", type=float, help="stage termination threshold")
-    p_fit.add_argument("--max-diff", type=int, default=4, help="differencing cap (default 4)")
     p_fit.add_argument("--model-out", required=True, help="output model JSON path")
     p_fit.set_defaults(handler=cmd_fit)
 
-    p_det = sub.add_parser("detect", help="score drift between two windows of one series")
-    p_det.add_argument("--input", required=True, help="input series CSV")
+    p_det = sub.add_parser(
+        "detect", parents=[window_fit], help="score drift between two windows of one series"
+    )
     p_det.add_argument("--ref-from", required=True, metavar="ISO")
     p_det.add_argument("--ref-to", required=True, metavar="ISO")
     p_det.add_argument("--cur-from", required=True, metavar="ISO")
@@ -229,9 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=",".join(DEFAULT_FEATURE_ORDER),
         help="comma-separated feature kinds (default %(default)s)",
     )
-    p_det.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
-    p_det.add_argument("--epsilon", type=float, help="stage termination threshold")
-    p_det.add_argument("--max-diff", type=int, default=4, help="differencing cap (default 4)")
     p_det.add_argument("--report-out", required=True, help="output report JSON path")
     p_det.set_defaults(handler=cmd_detect)
 

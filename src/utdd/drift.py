@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff, is_flat, write_json, write_timestamp_table
+from .series import TimeSeries, diff, is_flat, json_scalar, write_json, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict
 from .stationarity import ndiffs
 
@@ -45,10 +45,6 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.1
 
 REPORT_FORMAT_VERSION = 2
-
-# JSON types accepted per DriftReport annotation, compared exactly: bool is an int.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
 
 @dataclass(frozen=True)
 class DriftReport:
@@ -129,9 +125,14 @@ def run_utdd(
     reused for the current window so the two statistics stay comparable.  By
     default each window gets its own boosted fit; with ``reuse_model`` the
     reference model also deseasonalizes the current window, which is the more
-    conventional drift-detection design.  A window whose residual has no
-    variance raises :class:`DegenerateInputError` from :func:`compute_zscore`.
+    conventional drift-detection design.  Windows with different steps are
+    refused with :class:`InvalidArgumentError`.  A window whose residual has
+    no variance raises :class:`DegenerateInputError` from :func:`compute_zscore`.
     """
+    if reference.step != current.step:
+        raise InvalidArgumentError(
+            f"windows have different steps: {reference.step!r} s and {current.step!r} s"
+        )
     k = ndiffs(reference, max_diff=max_diff).k
 
     model_ref = boosted_fit(reference, features, epsilon=epsilon, k_diffs=k)
@@ -180,12 +181,10 @@ def report_from_dict(doc) -> DriftReport:
     for field in fields(DriftReport):
         if field.name not in doc:
             raise InvalidArgumentError(f"report is missing {field.name!r}")
-        value = doc[field.name]
-        if type(value) not in _JSON_TYPES[field.type] or value != value:
-            raise InvalidArgumentError(
-                f"report {field.name!r} must be a JSON {field.type}, got {value!r}"
-            )
-        values[field.name] = float(value) if field.type == "float" else value
+        try:
+            values[field.name] = json_scalar(doc[field.name], field.type)
+        except TypeError as exc:
+            raise InvalidArgumentError(f"report {field.name!r} {exc}") from None
     return DriftReport(**values)
 
 

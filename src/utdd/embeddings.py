@@ -25,6 +25,7 @@ from .series import (
     diff,
     extract_feature,
     is_flat,
+    json_scalar,
     residual_stats,
     write_json,
 )
@@ -262,18 +263,20 @@ def model_from_dict(doc) -> BoostedModel:
         stages = tuple(
             EmbeddingModel(
                 feature=_feature_from_dict(stage["feature"]),
-                lookup=stage["lookup"],
-                global_mean=float(stage["global_mean"]),
-                sse_reduction=float(stage["sse_reduction"]),
+                lookup=[json_scalar(v, "float") for v in stage["lookup"]],
+                global_mean=json_scalar(stage["global_mean"], "float"),
+                sse_reduction=json_scalar(stage["sse_reduction"], "float"),
             )
             for stage in doc["stages"]
         )
         return BoostedModel(
             stages=stages,
-            epsilon=float(doc["epsilon"]),
-            k_diffs=int(doc["k_diffs"]),
+            epsilon=json_scalar(doc["epsilon"], "float"),
+            k_diffs=json_scalar(doc["k_diffs"], "int"),
             ref_stats=ResidualStats(
-                mean=float(stats["mean"]), std=float(stats["std"]), n=int(stats["n"])
+                mean=json_scalar(stats["mean"], "float"),
+                std=json_scalar(stats["std"], "float"),
+                n=json_scalar(stats["n"], "int"),
             ),
         )
     except KeyError as exc:

@@ -13,7 +13,6 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +36,7 @@ __all__ = [
     "read_timestamp_table",
     "write_timestamp_table",
     "write_json",
+    "json_scalar",
 ]
 
 _US_PER_SECOND = 1_000_000
@@ -76,15 +76,15 @@ def parse_utc(text: str) -> datetime:
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_utc(dt: datetime) -> str:
-    """Render a datetime as ISO-8601 UTC with a ``Z`` suffix."""
-    dt = _coerce_utc(dt)
-    if dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render a datetime as ISO-8601 UTC with a ``Z`` suffix (microseconds only if nonzero)."""
+    return _coerce_utc(dt).replace(tzinfo=None).isoformat() + "Z"
 
 
 @dataclass(frozen=True)
@@ -284,16 +284,12 @@ def residual_stats(values: Sequence[float]) -> ResidualStats:
 # All files share one layout: a `timestamp,<name>[,<name>...]` header followed
 # by rows of an ISO-8601 UTC timestamp and floats rendered with the shortest
 # round-trip repr, so write -> read -> write is byte-identical for data rows.
-#
-# No row gets its own datetime object.  The writer renders a column of epoch
-# microseconds with `np.datetime_as_string`, once per distinct date and time
-# of day.  The reader accepts only regular grids: it parses the first two
-# timestamps, renders the grid they imply the same way and compares that
-# column with the file's in one step, so only rows whose text differs
-# (another UTC offset, a lowercase `z`, a fault) are parsed one at a time.
-# Errors are those of a row-by-row reader: the first faulty row wins, within a
-# row in the order blank line, field count, timestamp, number, non-finite
-# value; the column names, the step and the grid are checked after that.
+# The writer renders timestamps with `np.datetime_as_string`, once per distinct
+# date and time of day.  `_read_rows` reads one row at a time and so defines
+# every row error and its line; `_read_grid` returns the same for a file the
+# writer could have written, in a few whole-column steps, and None for any
+# other.  The column names, the row count, the step and the grid are checked
+# after either, once.
 # ---------------------------------------------------------------------------
 
 
@@ -355,14 +351,60 @@ def write_json(path, doc) -> None:
             os.unlink(tmp)
 
 
-def _first_failure(rows: list, parse) -> int:
-    """Index of the first row on which ``parse`` raises ValueError, else ``len(rows)``."""
-    for i, row in enumerate(rows):
+# JSON types accepted per kind, compared exactly: a bool is an int to Python.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def json_scalar(value, kind: str):
+    """``value`` as a JSON ``"int"``, ``"float"`` or ``"bool"``, else TypeError.
+
+    Types compare exactly (a bool is no number, a float no int) and NaN is
+    refused; a JSON integer is a valid float and comes back as one.
+    """
+    if type(value) not in _JSON_TYPES[kind] or value != value:
+        raise TypeError(f"must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch-microsecond stamps and values of each row; raises at the first faulty row."""
+    stamps, data = [], []
+    for line_no, line in enumerate(body, start=2):
+        fields = line.split(",")
+        if len(fields) != ncols:
+            message = f"expected {ncols} fields, found {len(fields)}" if line else "blank line"
+            raise CsvFormatError(message, line=line_no)
         try:
-            parse(row)
+            stamps.append(utc_us(parse_utc(fields[0])))
         except ValueError:
-            return i
-    return len(rows)
+            raise CsvFormatError(f"bad timestamp {fields[0]!r}", line=line_no) from None
+        try:
+            row = [float(v) for v in fields[1:]]
+        except ValueError:
+            raise CsvFormatError("bad numeric value", line=line_no) from None
+        if not all(map(math.isfinite, row)):
+            raise CsvFormatError("non-finite value", line=line_no)
+        data.append(row)
+    return np.array(stamps, dtype=np.int64), np.array(data).reshape(len(body), ncols - 1)
+
+
+def _read_grid(body: list[str], ncols: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """What :func:`_read_rows` returns, if the rows (two or more) have finite values and
+    the stamps are the writer's text of the grid of the first two; else None."""
+    if len(body) < 2 or any(line.count(",") != ncols - 1 for line in body):
+        return None
+    fields = ",".join(body).split(",")
+    stamps = fields[0::ncols]
+    try:
+        first, second = (utc_us(parse_utc(text)) for text in stamps[:2])
+        parse_utc(stamps[-1])  # the last stamp keeps the whole grid in datetime's range
+        data = np.column_stack([list(map(float, fields[j::ncols])) for j in range(1, ncols)])
+    except ValueError:
+        return None
+    grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
+    if not np.isfinite(data).all() or _format_stamps(grid) != stamps:
+        return None
+    return grid, data
 
 
 def read_timestamp_table(
@@ -384,73 +426,23 @@ def read_timestamp_table(
     header = lines[0].split(",")
     if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
         raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
-    ncols = len(header)
-    body = lines[1:]
-
-    # Row faults as (row, rank within the row, message); the least one wins.
-    # Each check only looks at the rows before the faults already found.
-    faults = []
-    commas = np.fromiter(map(str.count, body, repeat(",")), dtype=np.int64, count=len(body))
-    misshapen = np.flatnonzero(commas != ncols - 1)
-    n = int(misshapen[0]) if misshapen.size else len(body)
-    if n < len(body):
-        message = f"expected {ncols} fields, found {commas[n] + 1}" if body[n] else "blank line"
-        faults.append((n, 0, message))
-    fields = ",".join(body[:n]).split(",") if n else []
-    stamps = fields[0::ncols]
-
-    data = np.empty((n, ncols - 1))
-    try:
-        for j in range(1, ncols):
-            data[:, j - 1] = list(map(float, fields[j::ncols]))
-    except ValueError:
-        rows = [line.split(",")[1:] for line in body[:n]]
-        n_num = _first_failure(rows, lambda row: [float(v) for v in row])
-        faults.append((n_num, 2, "bad numeric value"))
-        data = np.array([[float(v) for v in row] for row in rows[:n_num]])
-        data = data.reshape(n_num, ncols - 1)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        faults.append((int(np.argmin(finite)), 3, "non-finite value"))
-
-    n_ts = _first_failure(stamps[:2], parse_utc)
-    first = [utc_us(parse_utc(text)) for text in stamps[:n_ts]]
-    step_us = first[1] - first[0] if len(first) == 2 else 0
-    grid = (first[0] if first else 0) + np.arange(n, dtype=np.int64) * step_us
-    off_grid = None
-    if n_ts == len(stamps[:2]):
-        n_ts = n
-        text = _format_stamps(grid)
-        mismatched = [] if text == stamps else [i for i in range(n) if stamps[i] != text[i]]
-        for i in mismatched:
-            try:
-                ts = parse_utc(stamps[i])
-            except ValueError:
-                n_ts = i
-                break
-            if off_grid is None and utc_us(ts) != grid[i]:
-                off_grid = (i, ts)
-    if n_ts < n:
-        faults.append((n_ts, 1, f"bad timestamp {stamps[n_ts]!r}"))
-    if faults:
-        row, _, message = min(faults)
-        raise CsvFormatError(message, line=row + 2)
+    stamps, data = _read_grid(lines[1:], len(header)) or _read_rows(lines[1:], len(header))
 
     if columns is not None:
         if header[1:] != list(columns):
             names = ",".join(["timestamp", *columns])
             raise CsvFormatError(f"expected header {names!r}", line=1)
-        if not n:
+        if not len(stamps):
             raise CsvFormatError("no data rows", line=2)
-    if n > 1 and step_us <= 0:
-        raise CsvFormatError("timestamps must be strictly ascending", line=3)
-    if off_grid is not None:
-        i, ts = off_grid
-        want = _EPOCH + timedelta(microseconds=int(grid[i]))
-        raise CsvFormatError(
-            f"expected timestamp {format_utc(want)}, found {format_utc(ts)}", line=i + 2
-        )
-    return header[1:], grid, data
+    if len(stamps) > 1:
+        if stamps[1] <= stamps[0]:
+            raise CsvFormatError("timestamps must be strictly ascending", line=3)
+        grid = stamps[0] + np.arange(len(stamps), dtype=np.int64) * (stamps[1] - stamps[0])
+        i = int(np.argmax(stamps != grid))
+        if stamps[i] != grid[i]:
+            want, found = _format_stamps(np.array([grid[i], stamps[i]]))
+            raise CsvFormatError(f"expected timestamp {want}, found {found}", line=i + 2)
+    return header[1:], stamps, data
 
 
 def read_series_csv(path) -> TimeSeries:

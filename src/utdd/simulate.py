@@ -32,12 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import partial
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .series import FeatureSpec, TimeSeries, extract_feature, parse_utc, utc_us
+from .series import FeatureSpec, TimeSeries, extract_feature, json_scalar, parse_utc, utc_us
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -274,8 +275,11 @@ def _utc(text) -> datetime:
     return parse_utc(text)
 
 
+_int, _float = partial(json_scalar, kind="int"), partial(json_scalar, kind="float")
+
+
 def _floats(values) -> tuple:
-    return tuple(map(float, values))
+    return tuple(map(_float, values))
 
 
 def sim_config_from_dict(doc: Mapping) -> SimConfig:
@@ -289,8 +293,8 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
     trend_doc = doc.get("trend", {})
     _reject_unknown(trend_doc, {"level", "slope"}, "trend")
     trend = TrendConfig(
-        level=_value(trend_doc, "level", float, 0.0, "trend."),
-        slope=_value(trend_doc, "slope", float, 0.0, "trend."),
+        level=_value(trend_doc, "level", _float, 0.0, "trend."),
+        slope=_value(trend_doc, "slope", _float, 0.0, "trend."),
     )
 
     components = []
@@ -304,8 +308,8 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
             raise InvalidArgumentError(f"{where} requires 's'")
         components.append(
             SeasonalComponentConfig(
-                s=_value(comp, "s", int, None, f"{where}."),
-                sigma_omega=_value(comp, "sigma_omega", float, 0.0, f"{where}."),
+                s=_value(comp, "s", _int, None, f"{where}."),
+                sigma_omega=_value(comp, "sigma_omega", _float, 0.0, f"{where}."),
                 init_gamma=_value(comp, "init_gamma", _floats, None, f"{where}."),
                 init_gamma_star=_value(comp, "init_gamma_star", _floats, None, f"{where}."),
             )
@@ -321,9 +325,9 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
             raise InvalidArgumentError("drift requires 'at'")
         drift = DriftInjection(
             at=_value(drift_doc, "at", _utc, None, "drift."),
-            level_shift=_value(drift_doc, "level_shift", float, 0.0, "drift."),
-            noise_scale=_value(drift_doc, "noise_scale", float, 1.0, "drift."),
-            seasonal_scale=_value(drift_doc, "seasonal_scale", float, 1.0, "drift."),
+            level_shift=_value(drift_doc, "level_shift", _float, 0.0, "drift."),
+            noise_scale=_value(drift_doc, "noise_scale", _float, 1.0, "drift."),
+            seasonal_scale=_value(drift_doc, "seasonal_scale", _float, 1.0, "drift."),
         )
 
     try:
@@ -333,15 +337,15 @@ def sim_config_from_dict(doc: Mapping) -> SimConfig:
 
     return SimConfig(
         start=start,
-        step=_value(doc, "step_seconds", float),
-        n=_value(doc, "n", int),
+        step=_value(doc, "step_seconds", _float),
+        n=_value(doc, "n", _int),
         trend=trend,
         components=tuple(components),
-        sigma_eps=_value(doc, "sigma_eps", float, 0.0),
-        weekend_scale=_value(doc, "weekend_scale", float, 1.0),
-        holiday_offset=_value(doc, "holiday_offset", float, 0.0),
+        sigma_eps=_value(doc, "sigma_eps", _float, 0.0),
+        weekend_scale=_value(doc, "weekend_scale", _float, 1.0),
+        holiday_offset=_value(doc, "holiday_offset", _float, 0.0),
         holidays=holidays,
-        seed=_value(doc, "seed", int, 0),
+        seed=_value(doc, "seed", _int, 0),
         drift=drift,
     )
 

@@ -11,6 +11,7 @@ REMOVED = {
     "utdd": ("utdd", "training_residual"),  # run_utdd(...).report; WindowFit.residual
     "utdd.drift": ("utdd",),
     "utdd.embeddings": ("training_residual", "_stage_spec"),
+    "utdd.series": ("_first_failure",),
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
 }
 

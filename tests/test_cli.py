@@ -118,9 +118,16 @@ MINIMAL_CONFIG = {"start": "2020-08-01T00:00:00Z", "step_seconds": 3600, "n": 48
         json.dumps({**MINIMAL_CONFIG, "start": 5}).encode(),
         json.dumps({**MINIMAL_CONFIG, "seed": -1}).encode(),
         utf16(json.dumps(MINIMAL_CONFIG)),
+        json.dumps({**MINIMAL_CONFIG, "n": 48.7}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "components": [{"s": "24"}]}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "seed": True}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "components": [{"s": 4, "init_gamma": "12"}]}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "sigma_eps": "0.3"}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "step_seconds": float("nan")}).encode(),
     ],
     ids=["list", "n-text", "trend-number", "init_gamma-number", "drift-at-text",
-         "start-number", "seed-negative", "utf16"],
+         "start-number", "seed-negative", "utf16", "n-fraction", "s-text", "seed-bool",
+         "init_gamma-text", "sigma_eps-text", "step-nan"],
 )
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -285,6 +292,11 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
                         *CUR]) == 2
     # unparseable bound
     assert main(base + ["--ref-from", "yesterday", "--ref-to", "2020-10-01T00:00:00Z", *CUR]) == 2
+    # a bound that exists in its own offset but not in UTC
+    capsys.readouterr()
+    assert main(base + ["--ref-from", "0001-01-01T00:00:00+02:00",
+                        "--ref-to", "2020-10-01T00:00:00Z", *CUR]) == 2
+    assert_one_error_line(capsys.readouterr().err)
     # bad threshold
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
                  "--threshold", "0", "--report-out", str(tmp_path / "r.json")]) == 2

@@ -192,6 +192,18 @@ def test_run_utdd_validation():
         run_utdd(flat, flat, FEATS)
 
 
+def test_run_utdd_refuses_windows_with_different_steps(monkeypatch):
+    s = two_month_series(seed=7)
+    ref = s.window(T0, SEP)
+    cur = TimeSeries(SEP, 1800.0, s.window(SEP, OCT).values)
+    calls = []
+    monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
+    for a, b in ((ref, cur), (cur, ref)):
+        with pytest.raises(InvalidArgumentError, match="different steps: .* and .*"):
+            run_utdd(a, b, FEATS)
+    assert calls == []
+
+
 def test_one_flatness_rule_for_ndiffs_boosted_fit_and_zscore():
     # std is 1e-11 * (1 + |mean|): flat under the one 1e-10 rule everywhere
     rng = np.random.default_rng(11)

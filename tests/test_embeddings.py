@@ -287,6 +287,12 @@ def _malformed_model_docs():
             holiday_dates=["2020-01-01"]
         ),
         "global_mean-text": lambda d: d["stages"][0].update(global_mean="mean"),
+        "k_diffs-fraction": lambda d: d.update(k_diffs=1.9),
+        "k_diffs-bool": lambda d: d.update(k_diffs=True),
+        "ref_stats.n-fraction": lambda d: d["ref_stats"].update(n=399.9),
+        "epsilon-text": lambda d: d.update(epsilon="nan"),
+        "epsilon-nan": lambda d: d.update(epsilon=float("nan")),
+        "lookup-number-text": lambda d: d["stages"][0].update(lookup=["1.0"] * 7),
     }
     params = [pytest.param([], id="list"), pytest.param("model", id="text")]
     for name, change in changes.items():

@@ -68,6 +68,18 @@ def test_format_utc_microseconds_only_when_present():
     assert format_utc(datetime(2020, 1, 1, tzinfo=UTC)) == "2020-01-01T00:00:00Z"
 
 
+def test_format_utc_pads_years_below_1000_so_parse_utc_reads_them():
+    ts = datetime(999, 1, 1, microsecond=5, tzinfo=UTC)
+    assert format_utc(ts) == "0999-01-01T00:00:00.000005Z"
+    assert parse_utc(format_utc(ts)) == ts
+
+
+def test_parse_utc_refuses_instants_outside_utc_range():
+    for text in ("0001-01-01T00:00:00+02:00", "9999-12-31T23:00:00-02:00"):
+        with pytest.raises(ValueError, match="out of range in UTC"):
+            parse_utc(text)
+
+
 # ---------------------------------------------------------------------------
 # TimeSeries container
 # ---------------------------------------------------------------------------
@@ -340,6 +352,28 @@ def test_csv_irregular_spacing_rejected(tmp_path):
     assert err.value.line == 4
 
 
+def test_csv_stamps_beyond_the_datetime_range(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("timestamp,value\n2020-01-01T00:00:00Z,1.0\n9999-12-31T23:00:00-02:00,2.0\n")
+    with pytest.raises(CsvFormatError, match="line 3: bad timestamp '9999-12-31T23:00:00-02:00'"):
+        read_series_csv(path)
+    # the writer can render a grid past year 9999, but no row there parses
+    path.write_text(
+        "timestamp,value\n9999-12-31T22:00:00Z,1.0\n9999-12-31T23:00:00Z,2.0\n"
+        "10000-01-01T00:00:00Z,3.0\n"
+    )
+    with pytest.raises(CsvFormatError, match="line 4: bad timestamp '10000-01-01T00:00:00Z'"):
+        read_series_csv(path)
+    # the grid of the first two stamps leaves year 9999 before the third row
+    stamps = ["9998-01-01T00:00:00Z", "9999-01-01T00:00:00Z", "9999-06-01T00:00:00Z"]
+    path.write_text("timestamp,value\n" + "".join(f"{ts},1.0\n" for ts in stamps))
+    with pytest.raises(CsvFormatError) as err:
+        read_series_csv(path)
+    assert str(err.value) == (
+        "line 4: expected timestamp 10000-01-01T00:00:00Z, found 9999-06-01T00:00:00Z"
+    )
+
+
 def test_csv_descending_timestamps_rejected(tmp_path):
     path = tmp_path / "desc.csv"
     path.write_text(
@@ -380,7 +414,7 @@ STEPS = (0.5, 1.5, 3600.0, 86400.0)
 @st.composite
 def grid_series(draw, max_rows=30):
     """Series on the steps above, starting before or after 1970, with or without microseconds."""
-    start = draw(st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9998, 1, 1)))
+    start = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)))
     if draw(st.booleans()):
         start = start.replace(microsecond=0)
     values = draw(
@@ -434,72 +468,83 @@ def test_reader_accepts_every_utc_spelling(tmp_path_factory, s, data):
     assert_array_equal(back.values, s.values)
 
 
-def per_row_read(text):
-    """A row-at-a-time reader: returns ``(start, step, values)`` or ``(message, line)``."""
+def per_row_read(text, columns):
+    """A row-at-a-time reader: ``(timestamps, rows)``, or raises its CsvFormatError."""
     lines = text.splitlines()
     header = lines[0].split(",")
     if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
-        return "expected header 'timestamp,<name>[,...]'", 1
-    timestamps, values = [], []
+        raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
+    timestamps, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
-            return "blank line", lineno
+            raise CsvFormatError("blank line", line=lineno)
         parts = line.split(",")
         if len(parts) != len(header):
-            return f"expected {len(header)} fields, found {len(parts)}", lineno
+            raise CsvFormatError(f"expected {len(header)} fields, found {len(parts)}", line=lineno)
         try:
             timestamps.append(parse_utc(parts[0]))
         except ValueError:
-            return f"bad timestamp {parts[0]!r}", lineno
+            raise CsvFormatError(f"bad timestamp {parts[0]!r}", line=lineno) from None
         try:
             row = [float(p) for p in parts[1:]]
         except ValueError:
-            return "bad numeric value", lineno
+            raise CsvFormatError("bad numeric value", line=lineno) from None
         if not all(np.isfinite(row)):
-            return "non-finite value", lineno
-        values.append(row[0])
-    if header[1:] != ["value"]:
-        return "expected header 'timestamp,value'", 1
+            raise CsvFormatError("non-finite value", line=lineno)
+        rows.append(row)
+    if header[1:] != columns:
+        raise CsvFormatError(f"expected header {','.join(['timestamp', *columns])!r}", line=1)
     if not timestamps:
-        return "no data rows", 2
-    if len(timestamps) == 1:
-        return timestamps[0], 1.0, values
-    step = (timestamps[1] - timestamps[0]).total_seconds()
-    if step <= 0:
-        return "timestamps must be strictly ascending", 3
-    for i, ts in enumerate(timestamps):
-        expected = timestamps[0] + timedelta(seconds=i * step)
-        if ts != expected:
-            return f"expected timestamp {format_utc(expected)}, found {format_utc(ts)}", i + 2
-    return timestamps[0], step, values
+        raise CsvFormatError("no data rows", line=2)
+    if len(timestamps) > 1:
+        step = timestamps[1] - timestamps[0]
+        if step <= timedelta(0):
+            raise CsvFormatError("timestamps must be strictly ascending", line=3)
+        for i, ts in enumerate(timestamps):
+            expected = timestamps[0] + i * step
+            if ts != expected:
+                raise CsvFormatError(
+                    f"expected timestamp {format_utc(expected)}, found {format_utc(ts)}", line=i + 2
+                )
+    return timestamps, rows
 
 
 FAULTS = ("blank", "extra field", "missing field", "stamp", "number", "inf", "nan",
           "off grid", "repeat first", "offset", "header name")
 
 
-@given(grid_series(max_rows=12), st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS)), max_size=4))
+@given(
+    grid_series(max_rows=12),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS), st.integers(0, 2)), max_size=4),
+)
 @settings(max_examples=400, deadline=None)
-def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, s, faults):
-    header = "timestamp,value"
-    rows = [[format_utc(ts), repr(v)] for ts, v in zip(timestamps(s), s.values.tolist())]
-    for index, fault in faults:
+def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, s, ncols, faults):
+    columns = ["value", "seasonal", "residual"][:ncols]
+    arrays = [s.values, -s.values, s.values[::-1]][:ncols]
+    header = "timestamp," + ",".join(columns)
+    rows = [
+        [format_utc(ts)] + [repr(float(arr[i])) for arr in arrays]
+        for i, ts in enumerate(timestamps(s))
+    ]
+    for index, fault, column in faults:
         i = index % len(rows)
         ts = s.timestamp(i)
+        j = -1 - column % max(1, len(rows[i]) - 1)  # a value field, counted from the end
         if fault == "header name":
-            header = "timestamp,level"
+            header = "timestamp," + ",".join(columns[:-1] + ["level"])
         elif fault == "blank":
             rows[i] = [""]
         elif fault == "extra field":
             rows[i] = rows[i] + ["1.0"]
         elif fault == "missing field":
-            rows[i] = rows[i][:1]
+            rows[i] = rows[i][: max(1, len(rows[i]) - 1)]
         elif fault == "stamp":
             rows[i][0] = "2020-13-01T00:00:00Z"
         elif fault == "number":
-            rows[i][-1] = "1.0.0"
+            rows[i][j] = "1.0.0"
         elif fault in ("inf", "nan"):
-            rows[i][-1] = fault
+            rows[i][j] = fault
         elif fault == "off grid":
             rows[i][0] = format_utc(ts + timedelta(seconds=0.25))
         elif fault == "repeat first":
@@ -510,12 +555,52 @@ def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, 
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     path.write_text(text)
 
-    want = per_row_read(text)
-    if len(want) == 2:
-        with pytest.raises(CsvFormatError) as err:
-            read_series_csv(path)
-        assert (str(err.value), err.value.line) == (f"line {want[1]}: {want[0]}", want[1])
-    else:
+    readers = [lambda: read_timestamp_table(path, columns)]
+    if ncols == 1:
+        readers.append(lambda: read_series_csv(path))
+    try:
+        want_stamps, want_rows = per_row_read(text, columns)
+    except CsvFormatError as want:
+        for read in readers:
+            with pytest.raises(CsvFormatError) as err:
+                read()
+            assert (str(err.value), err.value.line) == (str(want), want.line)
+        return
+    names, stamps, data = read_timestamp_table(path, columns)
+    assert names == columns
+    assert stamps.tolist() == [(ts - EPOCH) // timedelta(microseconds=1) for ts in want_stamps]
+    assert data.shape == (len(want_rows), ncols)
+    assert_array_equal(data, want_rows)
+    if ncols == 1:
         back = read_series_csv(path)
-        assert (back.start, back.step) == want[:2]
-        assert_array_equal(back.values, want[2])
+        step = (want_stamps[1] - want_stamps[0]).total_seconds() if len(want_stamps) > 1 else 1.0
+        assert (back.start, back.step) == (want_stamps[0], step)
+        assert_array_equal(back.values, [row[0] for row in want_rows])
+
+
+def test_writer_output_takes_the_grid_shortcut(tmp_path, monkeypatch):
+    """Files the writer produces never reach the row-by-row reader; other spellings do."""
+
+    def row_by_row(body, ncols):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr("utdd.series._read_rows", row_by_row)
+    odd = TimeSeries(T0.replace(microsecond=250), 0.5, [1.5, -2.0, 3.0])
+    for s in (hourly(np.arange(48.0) ** 0.5), odd):
+        write_series_csv(s, tmp_path / "s.csv")
+        back = read_series_csv(tmp_path / "s.csv")
+        assert (back.start, back.step) == (s.start, s.step)
+        assert_array_equal(back.values, s.values)
+
+        columns = ["observed", "seasonal", "residual"]
+        arrays = [s.values, -s.values, s.values[::-1]]
+        write_timestamp_table(tmp_path / "fit.csv", columns, s.epoch_us(), arrays)
+        names, stamps, data = read_timestamp_table(tmp_path / "fit.csv", columns)
+        assert names == columns
+        assert_array_equal(stamps, s.epoch_us())
+        assert_array_equal(data, np.column_stack(arrays))
+
+    text = (tmp_path / "s.csv").read_text()
+    (tmp_path / "offset.csv").write_text(text.replace("Z,", "+00:00,"))
+    with pytest.raises(AssertionError, match="read row by row"):
+        read_series_csv(tmp_path / "offset.csv")
