@@ -14,13 +14,15 @@ without touching the pipeline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff, is_flat, json_scalar, write_json, write_timestamp_table
+from .jsondoc import json_object, json_version, write_json
+from .series import TimeSeries, diff, is_flat, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict
 from .stationarity import ndiffs
 
@@ -61,6 +63,12 @@ class DriftReport:
     delta: float
     threshold: float
     drifted: bool
+
+    def __post_init__(self) -> None:
+        if self.delta != abs(self.z_curr - self.z_ref):
+            raise InvalidArgumentError("delta must equal |z_curr - z_ref|")
+        if self.drifted != detect(self.z_ref, self.z_curr, self.threshold):
+            raise InvalidArgumentError("drifted must equal delta >= threshold")
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,9 @@ def compute_zscore(residual: Sequence[float]) -> float:
 
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
-    """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive)."""
-    if not threshold > 0:
-        raise InvalidArgumentError("threshold must be positive")
+    """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive and finite)."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidArgumentError("threshold must be positive and finite")
     return abs(z_curr - z_ref) >= threshold
 
 
@@ -167,25 +175,14 @@ def report_to_dict(report: DriftReport) -> dict:
     return {"version": REPORT_FORMAT_VERSION, **asdict(report)}
 
 
+# Postponed annotations keep each field's type as text: the json_scalar kind.
+_REPORT = {field.name: field.type for field in fields(DriftReport)}
+
+
 def report_from_dict(doc) -> DriftReport:
     """Rebuild a report from :func:`report_to_dict` output, refusing anything else."""
-    if not isinstance(doc, dict):
-        raise InvalidArgumentError("report must be a JSON object")
-    version = doc.get("version")
-    if version != REPORT_FORMAT_VERSION:
-        raise InvalidArgumentError(
-            f"unsupported report format version {version!r}; "
-            f"run utdd detect again to write a version {REPORT_FORMAT_VERSION} report"
-        )
-    values = {}
-    for field in fields(DriftReport):
-        if field.name not in doc:
-            raise InvalidArgumentError(f"report is missing {field.name!r}")
-        try:
-            values[field.name] = json_scalar(doc[field.name], field.type)
-        except TypeError as exc:
-            raise InvalidArgumentError(f"report {field.name!r} {exc}") from None
-    return DriftReport(**values)
+    body = json_version(doc, REPORT_FORMAT_VERSION, "utdd detect")
+    return DriftReport(**json_object(body, _REPORT, _REPORT))
 
 
 def save_report(report: DriftReport, path) -> None:

@@ -11,13 +11,15 @@ stage's root-mean-square contribution drops below the termination tolerance
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .jsondoc import json_array, json_object, json_version, write_json
 from .series import (
     FeatureSpec,
     ResidualStats,
@@ -25,9 +27,7 @@ from .series import (
     diff,
     extract_feature,
     is_flat,
-    json_scalar,
     residual_stats,
-    write_json,
 )
 
 __all__ = [
@@ -71,6 +71,10 @@ class EmbeddingModel:
         card = self.feature.cardinality
         if lookup.shape != (card,):
             raise InvalidArgumentError(f"{self.feature.kind} lookup needs {card} values")
+        if not (np.isfinite(lookup).all() and math.isfinite(self.global_mean)):
+            raise InvalidArgumentError("lookup values and global_mean must be finite")
+        if not 0 <= self.sse_reduction < math.inf:
+            raise InvalidArgumentError("sse_reduction must be finite and non-negative")
         lookup.flags.writeable = False
         object.__setattr__(self, "lookup", lookup)
 
@@ -89,6 +93,10 @@ class BoostedModel:
     epsilon: float
     k_diffs: int
     ref_stats: ResidualStats
+
+    def __post_init__(self) -> None:
+        if self.k_diffs < 0 or not 0 <= self.epsilon < math.inf:
+            raise InvalidArgumentError("k_diffs and epsilon must be non-negative and finite")
 
 
 def fit_embedding(
@@ -220,12 +228,6 @@ def _feature_to_dict(spec: FeatureSpec) -> dict:
     return doc
 
 
-def _feature_from_dict(doc: Mapping) -> FeatureSpec:
-    if "holiday_dates" not in doc:
-        return FeatureSpec(doc["kind"])
-    return FeatureSpec(doc["kind"], frozenset(map(date.fromisoformat, doc["holiday_dates"])))
-
-
 def model_to_dict(model: BoostedModel) -> dict:
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -248,41 +250,26 @@ def model_to_dict(model: BoostedModel) -> dict:
     }
 
 
+_FEATURE = {"kind": "string", "holiday_dates": json_array(date.fromisoformat)}
+_STAGE = {
+    "feature": lambda doc: FeatureSpec(**json_object(doc, _FEATURE, ("kind",))),
+    "lookup": json_array("float"),
+    "global_mean": "float",
+    "sse_reduction": "float",
+}
+_STATS = {"mean": "float", "std": "float", "n": "int"}
+_MODEL = {
+    "k_diffs": "int",
+    "epsilon": "float",
+    "ref_stats": lambda doc: ResidualStats(**json_object(doc, _STATS, _STATS)),
+    "stages": json_array(lambda doc: EmbeddingModel(**json_object(doc, _STAGE, _STAGE))),
+}
+
+
 def model_from_dict(doc) -> BoostedModel:
     """Rebuild a model from :func:`model_to_dict` output, refusing anything else."""
-    if not isinstance(doc, dict):
-        raise InvalidArgumentError("model must be a JSON object")
-    version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
-        raise InvalidArgumentError(
-            f"unsupported model format version {version!r}; "
-            f"run utdd fit again to write a version {MODEL_FORMAT_VERSION} model"
-        )
-    try:
-        stats = doc["ref_stats"]
-        stages = tuple(
-            EmbeddingModel(
-                feature=_feature_from_dict(stage["feature"]),
-                lookup=[json_scalar(v, "float") for v in stage["lookup"]],
-                global_mean=json_scalar(stage["global_mean"], "float"),
-                sse_reduction=json_scalar(stage["sse_reduction"], "float"),
-            )
-            for stage in doc["stages"]
-        )
-        return BoostedModel(
-            stages=stages,
-            epsilon=json_scalar(doc["epsilon"], "float"),
-            k_diffs=json_scalar(doc["k_diffs"], "int"),
-            ref_stats=ResidualStats(
-                mean=json_scalar(stats["mean"], "float"),
-                std=json_scalar(stats["std"], "float"),
-                n=json_scalar(stats["n"], "int"),
-            ),
-        )
-    except KeyError as exc:
-        raise InvalidArgumentError(f"model is missing {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed model: {exc}") from None
+    body = json_version(doc, MODEL_FORMAT_VERSION, "utdd fit")
+    return BoostedModel(**json_object(body, _MODEL, _MODEL))
 
 
 def save_model(model: BoostedModel, path) -> None:

@@ -8,9 +8,8 @@ freely across threads.
 
 from __future__ import annotations
 
-import json
 import math
-import os
+import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Optional, Sequence
@@ -35,8 +34,6 @@ __all__ = [
     "write_series_csv",
     "read_timestamp_table",
     "write_timestamp_table",
-    "write_json",
-    "json_scalar",
 ]
 
 _US_PER_SECOND = 1_000_000
@@ -44,6 +41,7 @@ _US_PER_HOUR = 3_600 * _US_PER_SECOND
 _US_PER_DAY = 24 * _US_PER_HOUR
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
+_MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 
 
 def _coerce_utc(dt: datetime) -> datetime:
@@ -120,6 +118,9 @@ class TimeSeries:
             raise InvalidArgumentError("values must be a one-dimensional, non-empty sequence")
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("values must be finite (no NaN or infinity)")
+        # epoch_us of the last point may not pass datetime.max (float-int comparison is exact)
+        if not (values.size - 1) * (step * _US_PER_SECOND) <= _MAX_US - utc_us(self.start):
+            raise InvalidArgumentError(f"the series ends past {format_utc(datetime.max)}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -139,6 +140,8 @@ class TimeSeries:
     def window(self, start_at: datetime, end_before: datetime) -> "TimeSeries":
         """Sub-series with ``start_at <= timestamp < end_before`` (half-open).
 
+        The bounds are compared exactly with the points' :meth:`epoch_us`.
+
         Raises :class:`InvalidArgumentError` when the bounds are inverted or
         no points fall inside them.
         """
@@ -146,11 +149,7 @@ class TimeSeries:
         end_before = _coerce_utc(end_before)
         if end_before <= start_at:
             raise InvalidArgumentError("window end must be after window start")
-        lo = (start_at - self.start).total_seconds() / self.step
-        hi = (end_before - self.start).total_seconds() / self.step
-        # ceil with a small slack so exact grid hits land on the grid point
-        i_lo = max(0, math.ceil(lo - 1e-9))
-        i_hi = min(len(self), math.ceil(hi - 1e-9))
+        i_lo, i_hi = np.searchsorted(self.epoch_us(), [utc_us(start_at), utc_us(end_before)])
         if i_hi <= i_lo:
             raise InvalidArgumentError(
                 f"window [{format_utc(start_at)}, {format_utc(end_before)}) selects no points"
@@ -220,8 +219,8 @@ class ResidualStats:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise InvalidArgumentError("residual statistics need at least two observations")
-        if not (self.std >= 0):
-            raise InvalidArgumentError("standard deviation cannot be negative")
+        if not (math.isfinite(self.mean) and 0 <= self.std < math.inf):
+            raise InvalidArgumentError("mean must be finite, standard deviation finite and >= 0")
 
 
 def diff(series: TimeSeries, k: int) -> TimeSeries:
@@ -335,35 +334,11 @@ def write_timestamp_table(
         fh.write(text)
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` as indented JSON through a temporary file beside ``path``
-    and :func:`os.replace`, so a failed write leaves ``path`` as it was."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-# JSON types accepted per kind, compared exactly: a bool is an int to Python.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-def json_scalar(value, kind: str):
-    """``value`` as a JSON ``"int"``, ``"float"`` or ``"bool"``, else TypeError.
-
-    Types compare exactly (a bool is no number, a float no int) and NaN is
-    refused; a JSON integer is a valid float and comes back as one.
-    """
-    if type(value) not in _JSON_TYPES[kind] or value != value:
-        raise TypeError(f"must be a JSON {kind}, got {value!r}")
-    return float(value) if kind == "float" else value
+# The value texts both readers accept, one per line: ASCII digits in decimal or
+# exponent notation, or a spelling of infinity or NaN that is then refused as
+# non-finite.  float() alone would also take `1_0`, ` 2` and non-ASCII digits.
+_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+_NUMBERS = re.compile(rf"(?:{_NUMBER}\n)*{_NUMBER}")
 
 
 def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -378,10 +353,9 @@ def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
             stamps.append(utc_us(parse_utc(fields[0])))
         except ValueError:
             raise CsvFormatError(f"bad timestamp {fields[0]!r}", line=line_no) from None
-        try:
-            row = [float(v) for v in fields[1:]]
-        except ValueError:
-            raise CsvFormatError("bad numeric value", line=line_no) from None
+        if not _NUMBERS.fullmatch("\n".join(fields[1:])):
+            raise CsvFormatError("bad numeric value", line=line_no)
+        row = [float(v) for v in fields[1:]]
         if not all(map(math.isfinite, row)):
             raise CsvFormatError("non-finite value", line=line_no)
         data.append(row)
@@ -394,13 +368,15 @@ def _read_grid(body: list[str], ncols: int) -> Optional[tuple[np.ndarray, np.nda
     if len(body) < 2 or any(line.count(",") != ncols - 1 for line in body):
         return None
     fields = ",".join(body).split(",")
-    stamps = fields[0::ncols]
+    stamps, columns = fields[0::ncols], [fields[j::ncols] for j in range(1, ncols)]
+    if not all(_NUMBERS.fullmatch("\n".join(column)) for column in columns):
+        return None
     try:
         first, second = (utc_us(parse_utc(text)) for text in stamps[:2])
         parse_utc(stamps[-1])  # the last stamp keeps the whole grid in datetime's range
-        data = np.column_stack([list(map(float, fields[j::ncols])) for j in range(1, ncols)])
     except ValueError:
         return None
+    data = np.column_stack([list(map(float, column)) for column in columns])
     grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
     if not np.isfinite(data).all() or _format_stamps(grid) != stamps:
         return None

@@ -32,13 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date, datetime
-from functools import partial
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .series import FeatureSpec, TimeSeries, extract_feature, json_scalar, parse_utc, utc_us
+from .jsondoc import json_array, json_object, json_scalar
+from .series import FeatureSpec, TimeSeries, extract_feature, parse_utc, utc_us
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -236,122 +236,37 @@ def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "start",
-    "step_seconds",
-    "n",
-    "trend",
-    "components",
-    "sigma_eps",
-    "weekend_scale",
-    "holiday_offset",
-    "holidays",
-    "seed",
-    "drift",
+def _utc(text) -> datetime:
+    return parse_utc(json_scalar(text, "string"))
+
+
+_FLOATS = json_array("float")
+_COMPONENT = {"s": "int", "sigma_omega": "float", "init_gamma": _FLOATS, "init_gamma_star": _FLOATS}
+_DRIFT = {"at": _utc, "level_shift": "float", "noise_scale": "float", "seasonal_scale": "float"}
+_CONFIG = {
+    "start": _utc,
+    "step_seconds": "float",
+    "n": "int",
+    "trend": lambda doc: TrendConfig(**json_object(doc, {"level": "float", "slope": "float"})),
+    "components": json_array(
+        lambda doc: SeasonalComponentConfig(**json_object(doc, _COMPONENT, ("s",)))
+    ),
+    "sigma_eps": "float",
+    "weekend_scale": "float",
+    "holiday_offset": "float",
+    "holidays": json_array(date.fromisoformat),
+    "seed": "int",
+    "drift": lambda doc: DriftInjection(**json_object(doc, _DRIFT, ("at",))),
 }
 
 
-def _reject_unknown(doc, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise InvalidArgumentError(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidArgumentError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
-
-
-def _value(doc: Mapping, key: str, convert, default=None, prefix: str = ""):
-    """``convert(doc[key])``, or ``default`` when the key is absent."""
-    if key not in doc:
-        return default
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"bad '{prefix}{key}': {exc}") from None
-
-
-def _utc(text) -> datetime:
-    if not isinstance(text, str):
-        raise TypeError(f"expected ISO-8601 text, got {text!r}")
-    return parse_utc(text)
-
-
-_int, _float = partial(json_scalar, kind="int"), partial(json_scalar, kind="float")
-
-
-def _floats(values) -> tuple:
-    return tuple(map(_float, values))
-
-
-def sim_config_from_dict(doc: Mapping) -> SimConfig:
-    """Build a :class:`SimConfig` from a parsed JSON document."""
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in ("start", "step_seconds", "n"):
-        if key not in doc:
-            raise InvalidArgumentError(f"config requires {key!r}")
-    start = _value(doc, "start", _utc)
-
-    trend_doc = doc.get("trend", {})
-    _reject_unknown(trend_doc, {"level", "slope"}, "trend")
-    trend = TrendConfig(
-        level=_value(trend_doc, "level", _float, 0.0, "trend."),
-        slope=_value(trend_doc, "slope", _float, 0.0, "trend."),
-    )
-
-    components = []
-    comp_docs = doc.get("components", [])
-    if not isinstance(comp_docs, list):
-        raise InvalidArgumentError("components must be a JSON array")
-    for i, comp in enumerate(comp_docs):
-        where = f"components[{i}]"
-        _reject_unknown(comp, {"s", "sigma_omega", "init_gamma", "init_gamma_star"}, where)
-        if "s" not in comp:
-            raise InvalidArgumentError(f"{where} requires 's'")
-        components.append(
-            SeasonalComponentConfig(
-                s=_value(comp, "s", _int, None, f"{where}."),
-                sigma_omega=_value(comp, "sigma_omega", _float, 0.0, f"{where}."),
-                init_gamma=_value(comp, "init_gamma", _floats, None, f"{where}."),
-                init_gamma_star=_value(comp, "init_gamma_star", _floats, None, f"{where}."),
-            )
-        )
-
-    drift_doc = doc.get("drift")
-    drift = None
-    if drift_doc is not None:
-        _reject_unknown(
-            drift_doc, {"at", "level_shift", "noise_scale", "seasonal_scale"}, "drift"
-        )
-        if "at" not in drift_doc:
-            raise InvalidArgumentError("drift requires 'at'")
-        drift = DriftInjection(
-            at=_value(drift_doc, "at", _utc, None, "drift."),
-            level_shift=_value(drift_doc, "level_shift", _float, 0.0, "drift."),
-            noise_scale=_value(drift_doc, "noise_scale", _float, 1.0, "drift."),
-            seasonal_scale=_value(drift_doc, "seasonal_scale", _float, 1.0, "drift."),
-        )
-
-    try:
-        holidays = frozenset(date.fromisoformat(d) for d in doc.get("holidays", []))
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"bad holiday date: {exc}") from None
-
-    return SimConfig(
-        start=start,
-        step=_value(doc, "step_seconds", _float),
-        n=_value(doc, "n", _int),
-        trend=trend,
-        components=tuple(components),
-        sigma_eps=_value(doc, "sigma_eps", _float, 0.0),
-        weekend_scale=_value(doc, "weekend_scale", _float, 1.0),
-        holiday_offset=_value(doc, "holiday_offset", _float, 0.0),
-        holidays=holidays,
-        seed=_value(doc, "seed", _int, 0),
-        drift=drift,
-    )
+def sim_config_from_dict(doc) -> SimConfig:
+    """Build a :class:`SimConfig` from a parsed JSON document; absent keys take its defaults."""
+    values = json_object(doc, _CONFIG, ("start", "step_seconds", "n"))
+    return SimConfig(step=values.pop("step_seconds"), **values)
 
 
 def load_sim_config(path) -> SimConfig:
     """Load and validate a simulation config from a JSON file."""
     with open(path, "r") as fh:
-        doc = json.load(fh)
-    return sim_config_from_dict(doc)
+        return sim_config_from_dict(json.load(fh))

@@ -1,17 +1,23 @@
 """The public surface: every exported name resolves and removed names stay gone."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import utdd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Names that duplicated other code and were removed; each has a replacement.
 REMOVED = {
     "utdd": ("utdd", "training_residual"),  # run_utdd(...).report; WindowFit.residual
     "utdd.drift": ("utdd",),
     "utdd.embeddings": ("training_residual", "_stage_spec"),
-    "utdd.series": ("_first_failure",),
+    "utdd.series": ("_first_failure", "json_scalar", "write_json"),  # utdd.jsondoc
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
 }
 
@@ -41,3 +47,29 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert not hasattr(utdd.EmbeddingModel, "table")
     assert not hasattr(utdd.BoostedModel, "degenerate")
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__
+
+
+def test_every_bench_probe_resolves():
+    """A refactor that moves a probed call must move its probe too, or traced runs break."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attribute, _, _ in tracer.CLI_PROBES + tracer.LIBRARY_PROBES:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+
+
+def test_jsondoc_imports_only_the_standard_library_and_errors():
+    tree = ast.parse((ROOT / "src" / "utdd" / "jsondoc.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module == "errors", ast.unparse(node)
+                continue
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)

@@ -95,6 +95,20 @@ def test_simulate_unknown_config_key(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_series_that_ends_past_year_9999(tmp_path, capsys):
+    path, out = tmp_path / "late.json", tmp_path / "late.csv"
+    late = {"start": "9999-12-30T00:00:00Z", "step_seconds": 3600, "n": 48}
+    path.write_text(json.dumps(late))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == "9999-12-31T23:00:00Z,0.0"
+    out.unlink()
+    capsys.readouterr()
+    path.write_text(json.dumps({**late, "n": 49}))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("UTDD_SEED", "not-a-number")
     assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(tmp_path / "x.csv")]) == 2
@@ -297,10 +311,12 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(base + ["--ref-from", "0001-01-01T00:00:00+02:00",
                         "--ref-to", "2020-10-01T00:00:00Z", *CUR]) == 2
     assert_one_error_line(capsys.readouterr().err)
-    # bad threshold
-    assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
-                 "--threshold", "0", "--report-out", str(tmp_path / "r.json")]) == 2
-    capsys.readouterr()
+    # bad threshold; an infinite one would also write a report that is not JSON
+    for threshold in ("0", "inf"):
+        assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
+                     "--threshold", threshold, "--report-out", str(tmp_path / "r.json")]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
     # missing output directory: the error names the report, not a temporary file
     missing = tmp_path / "missing" / "r.json"
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
@@ -351,6 +367,10 @@ def test_report_errors(tmp_path, capsys):
     partial.write_text(json.dumps(good))
     assert main(["report", "--report", str(partial)]) == 0
     capsys.readouterr()
+    # a verdict that does not follow from the stored numbers is not printed as one
+    partial.write_text(json.dumps({**good, "delta": 5.0}))
+    assert main(["report", "--report", str(partial)]) == 2
+    assert capsys.readouterr().out == ""
     # a UTF-16 file is not read as a report, and its decode error is not a verdict
     partial.write_bytes(utf16(json.dumps(good)))
     assert main(["report", "--report", str(partial)]) == 2

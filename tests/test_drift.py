@@ -121,7 +121,7 @@ def test_detect_threshold_boundary():
 
 
 def test_detect_rejects_non_positive_threshold():
-    for threshold in (0.0, -0.1, float("nan")):
+    for threshold in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(InvalidArgumentError):
             detect(0.5, 0.75, threshold)
 
@@ -331,6 +331,21 @@ def test_report_from_dict_refuses_what_it_cannot_read():
     for doc in refused:
         with pytest.raises(InvalidArgumentError):
             report_from_dict(doc)
+
+
+def test_report_verdict_must_follow_from_its_numbers():
+    refused = [
+        {**REPORT_DOC, "delta": 5.0, "drifted": False},  # delta is not |z_curr - z_ref|
+        {**REPORT_DOC, "drifted": False},  # delta >= threshold
+        {**REPORT_DOC, "threshold": 0.5},  # delta < threshold, yet drifted
+        {**REPORT_DOC, "threshold": -1.0, "drifted": True},
+        {**REPORT_DOC, "threshold": 0.0},
+    ]
+    for doc in refused:
+        with pytest.raises(InvalidArgumentError):
+            report_from_dict(doc)
+    with pytest.raises(InvalidArgumentError):
+        DriftReport(k_diffs=0, z_ref=0.5, z_curr=0.5, delta=5.0, threshold=0.1, drifted=False)
 
 
 def test_report_and_model_writes_are_atomic(tmp_path, monkeypatch):

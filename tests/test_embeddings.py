@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -293,6 +294,9 @@ def _malformed_model_docs():
         "epsilon-text": lambda d: d.update(epsilon="nan"),
         "epsilon-nan": lambda d: d.update(epsilon=float("nan")),
         "lookup-number-text": lambda d: d["stages"][0].update(lookup=["1.0"] * 7),
+        "k_diffs-negative": lambda d: d.update(k_diffs=-3),
+        "epsilon-negative": lambda d: d.update(epsilon=-5.0),
+        "ref_stats.std-infinity": lambda d: d["ref_stats"].update(std=float("inf")),
     }
     params = [pytest.param([], id="list"), pytest.param("model", id="text")]
     for name, change in changes.items():
@@ -306,3 +310,18 @@ def _malformed_model_docs():
 def test_model_from_dict_refuses_malformed_documents(doc):
     with pytest.raises(InvalidArgumentError):
         model_from_dict(doc)
+
+
+def test_model_dataclasses_refuse_what_boosted_fit_never_writes():
+    model = boosted_fit(weeks(4, seed=13), (DOW,), k_diffs=0)
+    stage, stats = model.stages[0], model.ref_stats
+    for change in (dict(k_diffs=-3), dict(epsilon=-5.0), dict(epsilon=float("inf"))):
+        with pytest.raises(InvalidArgumentError):
+            replace(model, **change)
+    for change in (dict(lookup=np.full(7, np.inf)), dict(global_mean=float("nan")),
+                   dict(sse_reduction=-1.0), dict(sse_reduction=float("inf"))):
+        with pytest.raises(InvalidArgumentError):
+            replace(stage, **change)
+    for change in (dict(mean=float("inf")), dict(std=float("inf")), dict(std=float("nan"))):
+        with pytest.raises(InvalidArgumentError):
+            replace(stats, **change)

@@ -120,6 +120,16 @@ def test_series_rejects_bad_inputs():
         TimeSeries(T0, 3600.0, np.array([1.0, np.inf]))
 
 
+def test_series_refuses_a_grid_past_the_datetime_range():
+    last = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC)
+    for start, step, n in ((last - timedelta(hours=1), 3600.0, 2), (last, 1e-6, 1)):
+        s = TimeSeries(start, step, np.ones(n))
+        assert s.timestamp(n - 1) <= last
+    for start, step, n in ((last - timedelta(hours=1), 3600.0, 3), (last, 1e-6, 2), (T0, 1e308, 2)):
+        with pytest.raises(InvalidArgumentError, match="ends past 9999-12-31T23:59:59.999999Z"):
+            TimeSeries(start, step, np.ones(n))
+
+
 def test_window_half_open():
     s = hourly(np.arange(48.0))
     w = s.window(T0 + timedelta(hours=10), T0 + timedelta(hours=20))
@@ -134,6 +144,39 @@ def test_window_bounds_between_samples():
     w = s.window(T0 + timedelta(minutes=30), T0 + timedelta(hours=5, minutes=30))
     # first sample at or after the lower bound is hour 1; hour 5 is below the upper bound
     assert_array_equal(w.values, np.arange(1.0, 6.0))
+
+
+def test_window_bounds_one_microsecond_past_grid_points():
+    s = hourly(np.arange(48.0))
+    us = timedelta(microseconds=1)
+    w = s.window(T0 + timedelta(hours=10) + us, T0 + timedelta(hours=20) + us)
+    # 10:00 lies before the lower bound and 20:00 before the upper one
+    assert_array_equal(w.values, np.arange(11.0, 21.0))
+    assert w.start == T0 + timedelta(hours=11)
+
+
+@given(
+    st.integers(0, 10**6),
+    st.one_of(st.integers(1, 10**10), st.sampled_from([3_600_000_000, 86_400_000_000])),
+    st.integers(1, 40),
+    *[st.tuples(st.integers(-2, 42), st.integers(-2, 2))] * 2,
+)
+@settings(max_examples=300, deadline=None)
+def test_window_matches_a_half_open_filter(start_us, step_us, n, lo, hi):
+    s = TimeSeries(T0 + timedelta(microseconds=start_us), step_us / 1e6, np.arange(float(n)))
+    start_at, end_before = (
+        s.start + timedelta(microseconds=index * step_us + offset) for index, offset in (lo, hi)
+    )
+    grid = s.epoch_us().tolist()
+    bounds = [(t - EPOCH) // timedelta(microseconds=1) for t in (start_at, end_before)]
+    inside = [i for i, t in enumerate(grid) if bounds[0] <= t < bounds[1]]
+    if not inside:
+        with pytest.raises(InvalidArgumentError):
+            s.window(start_at, end_before)
+        return
+    w = s.window(start_at, end_before)
+    assert w.values.tolist() == [float(i) for i in inside]
+    assert (w.start, w.step) == (s.timestamp(inside[0]), s.step)
 
 
 def test_window_clamps_to_series():
@@ -485,6 +528,9 @@ def per_row_read(text, columns):
             timestamps.append(parse_utc(parts[0]))
         except ValueError:
             raise CsvFormatError(f"bad timestamp {parts[0]!r}", line=lineno) from None
+        # float() also takes `1_0`, surrounding spaces and non-ASCII digits
+        if not all(p.isascii() and p == p.strip() and "_" not in p for p in parts[1:]):
+            raise CsvFormatError("bad numeric value", line=lineno)
         try:
             row = [float(p) for p in parts[1:]]
         except ValueError:
@@ -509,7 +555,8 @@ def per_row_read(text, columns):
     return timestamps, rows
 
 
-FAULTS = ("blank", "extra field", "missing field", "stamp", "number", "inf", "nan",
+NUMBER_FAULTS = ("1.0.0", "1_0", " 2", "2 ", "\u0663", "inf", "-Infinity", "nan")
+FAULTS = ("blank", "extra field", "missing field", "stamp", *NUMBER_FAULTS,
           "off grid", "repeat first", "offset", "header name")
 
 
@@ -541,9 +588,7 @@ def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, 
             rows[i] = rows[i][: max(1, len(rows[i]) - 1)]
         elif fault == "stamp":
             rows[i][0] = "2020-13-01T00:00:00Z"
-        elif fault == "number":
-            rows[i][j] = "1.0.0"
-        elif fault in ("inf", "nan"):
+        elif fault in NUMBER_FAULTS:
             rows[i][j] = fault
         elif fault == "off grid":
             rows[i][0] = format_utc(ts + timedelta(seconds=0.25))
