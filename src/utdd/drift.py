@@ -65,6 +65,8 @@ class DriftReport:
     drifted: bool
 
     def __post_init__(self) -> None:
+        if type(self.k_diffs) is not int or self.k_diffs < 0:
+            raise InvalidArgumentError("k_diffs must be a non-negative integer")
         if self.delta != abs(self.z_curr - self.z_ref):
             raise InvalidArgumentError("delta must equal |z_curr - z_ref|")
         if self.drifted != detect(self.z_ref, self.z_curr, self.threshold):

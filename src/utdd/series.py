@@ -30,6 +30,7 @@ __all__ = [
     "parse_utc",
     "format_utc",
     "utc_us",
+    "check_grid",
     "read_series_csv",
     "write_series_csv",
     "read_timestamp_table",
@@ -41,6 +42,7 @@ _US_PER_HOUR = 3_600 * _US_PER_SECOND
 _US_PER_DAY = 24 * _US_PER_HOUR
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
+_MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 
 
@@ -54,6 +56,22 @@ def _coerce_utc(dt: datetime) -> datetime:
 def utc_us(dt: datetime) -> int:
     """Exact microseconds since the Unix epoch (naive datetimes are UTC)."""
     return (_coerce_utc(dt) - _EPOCH) // _ONE_US
+
+
+def check_grid(start: datetime, step: float, n: int) -> float:
+    """``step`` as a float, for an ``n``-point grid that begins at ``start``.
+
+    Refuses a step that is not a positive number of seconds and a grid whose
+    last point falls past ``datetime.max``.  Nothing is allocated, so a
+    caller can check a length before building its arrays.
+    """
+    step = float(step)
+    if not (math.isfinite(step) and step > 0):
+        raise InvalidArgumentError("step must be a positive number of seconds")
+    # epoch_us of the last point may not pass datetime.max (float-int comparison is exact)
+    if not (n - 1) * (step * _US_PER_SECOND) <= _MAX_US - utc_us(start):
+        raise InvalidArgumentError(f"the series ends past {format_utc(datetime.max)}")
+    return step
 
 
 def is_flat(values) -> bool:
@@ -109,18 +127,12 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", _coerce_utc(self.start))
-        step = float(self.step)
-        if not (math.isfinite(step) and step > 0):
-            raise InvalidArgumentError("step must be a positive number of seconds")
-        object.__setattr__(self, "step", step)
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise InvalidArgumentError("values must be a one-dimensional, non-empty sequence")
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("values must be finite (no NaN or infinity)")
-        # epoch_us of the last point may not pass datetime.max (float-int comparison is exact)
-        if not (values.size - 1) * (step * _US_PER_SECOND) <= _MAX_US - utc_us(self.start):
-            raise InvalidArgumentError(f"the series ends past {format_utc(datetime.max)}")
+        object.__setattr__(self, "step", check_grid(self.start, self.step, values.size))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -325,6 +337,11 @@ def write_timestamp_table(
     """
     if len(columns) != len(arrays) or not columns:
         raise InvalidArgumentError("need one array per named column")
+    stamps = np.asarray(stamps, dtype=np.int64)
+    if stamps.size and not (_MIN_US <= stamps.min() and stamps.max() <= _MAX_US):
+        raise InvalidArgumentError(
+            f"timestamps must lie from {format_utc(datetime.min)} to {format_utc(datetime.max)}"
+        )
     fields = [_format_stamps(stamps)]
     fields.extend(list(map(repr, np.asarray(arr, dtype=np.float64).tolist())) for arr in arrays)
     if any(len(col) != len(fields[0]) for col in fields):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_scalar
-from .series import FeatureSpec, TimeSeries, extract_feature, parse_utc, utc_us
+from .series import FeatureSpec, TimeSeries, check_grid, extract_feature, parse_utc, utc_us
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -126,6 +126,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidArgumentError("n must be at least 1")
+        check_grid(self.start, self.step, self.n)
         if not self.sigma_eps >= 0:
             raise InvalidArgumentError("sigma_eps must be non-negative")
         if self.seed < 0:

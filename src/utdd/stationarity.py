@@ -4,10 +4,11 @@ The ADF regression is the constant-only form
 
     dx_t = alpha + gamma * x_{t-1} + sum_{i=1..L} delta_i * dx_{t-i} + e_t
 
-fitted by QR least squares; the t-ratio of ``gamma`` is compared against the
-asymptotic 5% critical value for the constant-only case (-2.86).  No
-finite-sample critical-value surface or p-value interpolation is attempted:
-callers only need the stationary / non-stationary verdict.
+fitted by least squares from the R factor of ``[X | y]``; Q is never formed.
+The t-ratio of ``gamma`` is compared against the asymptotic 5% critical value
+for the constant-only case (-2.86).  No finite-sample critical-value surface
+or p-value interpolation is attempted: callers only need the stationary /
+non-stationary verdict.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ class OlsFit:
 
 
 def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
-    """Ordinary least squares via QR decomposition.
+    """Ordinary least squares from the R factor of ``[X | y]``; Q is never formed.
 
-    QR is used instead of the normal equations because near-unit-root designs
-    are ill-conditioned.  Raises :class:`DegenerateInputError` when the design
+    The last column of that factor holds ``Q'y``, so one R-only QR gives
+    both the triangular system and its right-hand side.  QR is used instead
+    of the normal equations because near-unit-root designs are
+    ill-conditioned.  Raises :class:`DegenerateInputError` when the design
     matrix is rank-deficient and :class:`InvalidArgumentError` when there are
     not enough rows to estimate the error variance.
     """
@@ -59,11 +62,12 @@ def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
     n, k = X.shape
     if n < k + 1:
         raise InvalidArgumentError(f"{n} observations cannot support {k} regressors")
-    q, r = np.linalg.qr(X)
-    col_scale = np.maximum(np.sqrt((X * X).sum(axis=0)), 1.0)
+    ry = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    r = ry[:k, :k]
+    col_scale = np.maximum(np.sqrt(np.einsum("ij,ij->j", X, X)), 1.0)
     if np.any(np.abs(np.diag(r)) <= 1e-10 * col_scale):
         raise DegenerateInputError("design matrix is rank-deficient")
-    coef = np.linalg.solve(r, q.T @ y)
+    coef = np.linalg.solve(r, ry[:k, k])
     residuals = y - X @ coef
     sigma2 = float(residuals @ residuals) / (n - k)
     r_inv = np.linalg.inv(r)

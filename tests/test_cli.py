@@ -103,10 +103,12 @@ def test_simulate_refuses_a_series_that_ends_past_year_9999(tmp_path, capsys):
     assert out.read_text().splitlines()[-1] == "9999-12-31T23:00:00Z,0.0"
     out.unlink()
     capsys.readouterr()
-    path.write_text(json.dumps({**late, "n": 49}))
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
-    assert_one_error_line(capsys.readouterr().err)
-    assert not out.exists()
+    # refused before any array is built, however large n is
+    for n in (49, 10**21):
+        path.write_text(json.dumps({**late, "n": n}))
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
@@ -360,10 +362,14 @@ def test_report_errors(tmp_path, capsys):
     good = {"version": 2, "k_diffs": 0, "z_ref": 0.5, "z_curr": 0.5, "delta": 0.0,
             "threshold": 0.1, "drifted": False}
     old_format = {k: v for k, v in good.items() if k != "version"}
+    capsys.readouterr()
     for doc in (5, {**old_format, "residual_curr": [0.1, -0.1]}, {**good, "drifted": "no"},
-                {**good, "k_diffs": "0"}, {**good, "z_ref": "0.5"}):
+                {**good, "k_diffs": "0"}, {**good, "k_diffs": -3}, {**good, "z_ref": "0.5"}):
         partial.write_text(json.dumps(doc))
         assert main(["report", "--report", str(partial)]) == 2, doc
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
     partial.write_text(json.dumps(good))
     assert main(["report", "--report", str(partial)]) == 0
     capsys.readouterr()

@@ -333,6 +333,17 @@ def test_report_from_dict_refuses_what_it_cannot_read():
             report_from_dict(doc)
 
 
+def test_report_refuses_an_impossible_differencing_order():
+    for k_diffs in (-3, -1):
+        with pytest.raises(InvalidArgumentError, match="k_diffs"):
+            report_from_dict({**REPORT_DOC, "k_diffs": k_diffs})
+    numbers = dict(z_ref=0.5, z_curr=0.75, delta=0.25, threshold=0.1, drifted=True)
+    for k_diffs in (-1, True, False, 1.0, "1", None, np.int64(1)):
+        with pytest.raises(InvalidArgumentError, match="k_diffs"):
+            DriftReport(k_diffs=k_diffs, **numbers)
+    assert DriftReport(k_diffs=0, **numbers).k_diffs == 0
+
+
 def test_report_verdict_must_follow_from_its_numbers():
     refused = [
         {**REPORT_DOC, "delta": 5.0, "drifted": False},  # delta is not |z_curr - z_ref|

@@ -447,6 +447,30 @@ def test_timestamp_table_multicolumn(tmp_path):
     assert_array_equal(data[:, 1], b)
 
 
+def test_timestamp_table_refuses_stamps_outside_the_datetime_range(tmp_path):
+    def us(t):
+        return (t - EPOCH) // timedelta(microseconds=1)
+
+    first = datetime(1, 1, 1, tzinfo=UTC)
+    last = datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC)
+    path = tmp_path / "edges.csv"
+    write_timestamp_table(path, ["x"], np.array([us(first), us(last)]), [np.zeros(2)])
+    assert path.read_text().splitlines()[1:] == [
+        "0001-01-01T00:00:00Z,0.0",
+        "9999-12-31T23:59:59.999999Z,0.0",
+    ]
+    assert_array_equal(read_timestamp_table(path)[1], [us(first), us(last)])
+    late = datetime(9999, 12, 31, 23, tzinfo=UTC)
+    for stamps in (
+        [us(late), us(late) + 3_600_000_000],  # the second would render as 10000-01-01T00:00:00Z
+        [us(first) - 1, us(first)],
+    ):
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidArgumentError, match="timestamps must lie from"):
+            write_timestamp_table(path, ["x"], np.array(stamps), [np.zeros(2)])
+        assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV properties: the grid writer and reader against per-row references
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Tests for OLS, the unit-root test, and automatic differencing order."""
 
+import importlib.util
+import math
+import sys
 from datetime import datetime, timezone
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from utdd.stationarity import (
 )
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def hourly(values):
@@ -170,6 +176,97 @@ def test_adf_statistic_is_affine_invariant(scale, shift):
     base = adf_test(x, lags=2).statistic
     moved = adf_test(scale * x + shift, lags=2).statistic
     assert_allclose(moved, base, rtol=1e-7, atol=1e-9)
+
+
+def adf_design(x, lags):
+    """The ADF regression's design and target, built independently of adf_test."""
+    n = x.size
+    dx = np.diff(x)
+    cols = [np.ones(n - 1 - lags), x[lags : n - 1]]
+    cols += [dx[lags - i : n - 1 - i] for i in range(1, lags + 1)]
+    return np.column_stack(cols), dx[lags:]
+
+
+def exact_t_ratio(design, target):
+    """t-ratio of the second coefficient, in exact rational arithmetic on the float inputs.
+
+    Gauss-Jordan elimination of [X'X | X'y | e_2] gives beta and the second
+    column of (X'X)^-1; the square root is the only rounding.
+    """
+    cols = [[Fraction(v) for v in col] for col in design.T.tolist()]
+    ys = [Fraction(v) for v in target.tolist()]
+    n, k = len(ys), len(cols)
+    xty = [sum(a * b for a, b in zip(col, ys)) for col in cols]
+    aug = [
+        [sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(k)]
+        + [xty[i], Fraction(int(i == 1))]
+        for i in range(k)
+    ]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    beta = [row[k] for row in aug]
+    rss = sum(v * v for v in ys) - sum(b * v for b, v in zip(beta, xty))
+    t_squared = beta[1] ** 2 * (n - k) / (rss * aug[1][k + 1])
+    return math.copysign(math.sqrt(t_squared), beta[1])
+
+
+@given(
+    n=st.integers(min_value=40, max_value=80),
+    lags=st.integers(min_value=0, max_value=4),
+    rho=st.floats(min_value=0.5, max_value=1.0),
+    level=st.floats(min_value=-1e6, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_adf_statistic_matches_an_exact_rational_solution(n, lags, rho, level, seed):
+    # AR(1) walks up to a unit root, far from zero: the ill-conditioned designs
+    # ADF meets.  Rounding moves the t-ratio by an amount that does not shrink
+    # with it, so the bound is relative to |t| only once |t| >= 1, which covers
+    # the critical value; below that it is 1e-9 absolute.
+    noise = np.random.default_rng(seed).standard_normal(n)
+    x = np.empty(n)
+    x[0] = noise[0]
+    for t in range(1, n):
+        x[t] = rho * x[t - 1] + noise[t]
+    x += level
+    want = exact_t_ratio(*adf_design(x, lags))
+    got = adf_test(x, lags=lags).statistic
+    assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
+
+
+def test_ndiffs_matches_lstsq_on_the_bench_windows(monkeypatch):
+    # The reference windows of the monitoring workload (bench/workloads.py, read
+    # only), each tested level by level with numpy's own least squares.
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    pairs = [workloads.setup_pair(1)] + workloads.monitor_pairs(1)
+    orders = []
+    for pair in pairs:
+        res = ndiffs(TimeSeries(pair.start, 3600.0, pair.reference), max_diff=workloads.MAX_DIFF)
+        x, stats = pair.reference, []
+        for k in range(workloads.MAX_DIFF + 1):
+            lags = int(12.0 * (x.size / 100.0) ** 0.25)
+            design, target = adf_design(x, lags)
+            beta, rss, *_ = np.linalg.lstsq(design, target, rcond=None)
+            cov = np.linalg.inv(design.T @ design)
+            stats.append(beta[1] / np.sqrt(rss[0] / (target.size - design.shape[1]) * cov[1, 1]))
+            if stats[-1] < -2.86:
+                break
+            x = np.diff(x)
+        assert res.k == k
+        assert [r.lags_used for r in res.trail] == [
+            int(12.0 * ((pair.reference.size - i) / 100.0) ** 0.25) for i in range(k + 1)
+        ]
+        assert_allclose([r.statistic for r in res.trail], stats, rtol=1e-9)
+        orders.append(k)
+    assert len(pairs) == 21 and set(orders) == {0, 1}
 
 
 # ---------------------------------------------------------------------------
