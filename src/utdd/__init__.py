@@ -32,12 +32,10 @@ from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError, 
 from .series import (
     FEATURE_KINDS,
     FeatureSpec,
-    ResidualStats,
     TimeSeries,
     diff,
     extract_feature,
     read_series_csv,
-    residual_stats,
     write_series_csv,
 )
 from .simulate import (
@@ -67,7 +65,6 @@ __all__ = [
     "InvalidArgumentError",
     "NdiffsResult",
     "OlsFit",
-    "ResidualStats",
     "SeasonalComponentConfig",
     "SimConfig",
     "TimeSeries",
@@ -90,7 +87,6 @@ __all__ = [
     "ols",
     "predict_embedding",
     "read_series_csv",
-    "residual_stats",
     "run_utdd",
     "save_model",
     "save_report",

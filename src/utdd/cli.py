@@ -130,13 +130,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     pairs = [("k_diffs", model.k_diffs), ("epsilon", model.epsilon), ("stages", len(model.stages))]
     for i, stage in enumerate(model.stages):
         pairs.append((f"stage[{i}]", f"{stage.feature.kind}  sse_reduction {stage.sse_reduction!r}"))
-    pairs.extend(
-        [
-            ("ref_mean", model.ref_stats.mean),
-            ("ref_std", model.ref_stats.std),
-            ("ref_n", model.ref_stats.n),
-        ]
-    )
     _print_kv(pairs)
     print(f"wrote {args.model_out}")
     return 0
@@ -255,6 +248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except UtddError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:
         name = exc.filename if exc.filename is not None else ""

@@ -192,7 +192,7 @@ def save_report(report: DriftReport, path) -> None:
 
 
 def load_report(path) -> DriftReport:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return report_from_dict(json.load(fh))
 
 

@@ -20,15 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, write_json
-from .series import (
-    FeatureSpec,
-    ResidualStats,
-    TimeSeries,
-    diff,
-    extract_feature,
-    is_flat,
-    residual_stats,
-)
+from .series import FeatureSpec, TimeSeries, diff, extract_feature, is_flat
 
 __all__ = [
     "EmbeddingModel",
@@ -48,22 +40,23 @@ __all__ = [
 # Coarse-to-fine calendar structure.
 DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
 class EmbeddingModel:
     """Scalar lookup table for one categorical feature.
 
+    ``feature`` names the calendar feature whose codes index the table.
     ``lookup`` holds one value per category of the feature: the training-target
-    mean of each category seen in training, ``global_mean`` for the others.
-    It is made read-only at construction.  ``sse_reduction`` is the training
-    sum of squares explained relative to the global mean, always >= 0.
+    mean of each category seen in training, the mean of the whole training
+    target for the others.  It is made read-only at construction.
+    ``sse_reduction`` is the training sum of squares explained relative to
+    that whole-target mean, always >= 0.
     """
 
     feature: FeatureSpec
     lookup: np.ndarray
-    global_mean: float
     sse_reduction: float
 
     def __post_init__(self) -> None:
@@ -71,8 +64,8 @@ class EmbeddingModel:
         card = self.feature.cardinality
         if lookup.shape != (card,):
             raise InvalidArgumentError(f"{self.feature.kind} lookup needs {card} values")
-        if not (np.isfinite(lookup).all() and math.isfinite(self.global_mean)):
-            raise InvalidArgumentError("lookup values and global_mean must be finite")
+        if not np.isfinite(lookup).all():
+            raise InvalidArgumentError("lookup values must be finite")
         if not 0 <= self.sse_reduction < math.inf:
             raise InvalidArgumentError("sse_reduction must be finite and non-negative")
         lookup.flags.writeable = False
@@ -83,16 +76,14 @@ class EmbeddingModel:
 class BoostedModel:
     """An ordered sequence of fitted embedding stages plus training metadata.
 
-    ``k_diffs`` is the differencing order applied before fitting, ``epsilon``
-    the resolved absolute termination tolerance, and ``ref_stats`` the mean /
-    population std of the final training residual (its ``n`` equals the
-    differenced training length).
+    ``stages`` are applied in order and their predictions summed.  ``epsilon``
+    is the resolved absolute termination tolerance and ``k_diffs`` the
+    differencing order applied before fitting.
     """
 
     stages: tuple[EmbeddingModel, ...]
     epsilon: float
     k_diffs: int
-    ref_stats: ResidualStats
 
     def __post_init__(self) -> None:
         if self.k_diffs < 0 or not 0 <= self.epsilon < math.inf:
@@ -128,15 +119,12 @@ def fit_embedding(
     sse_baseline = float(((target - global_mean) ** 2).sum())
     sse_fitted = float(((target - prediction) ** 2).sum())
     return EmbeddingModel(
-        feature=spec,
-        lookup=lookup,
-        global_mean=global_mean,
-        sse_reduction=max(sse_baseline - sse_fitted, 0.0),
+        feature=spec, lookup=lookup, sse_reduction=max(sse_baseline - sse_fitted, 0.0)
     )
 
 
 def predict_embedding(model: EmbeddingModel, codes: Sequence[int]) -> np.ndarray:
-    """Table lookup per code; categories unseen in training get the global mean."""
+    """Table lookup per code; categories unseen in training get the training mean."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise InvalidArgumentError("codes must be one-dimensional")
@@ -159,9 +147,9 @@ def boosted_fit(
     ``epsilon`` defaults to ``1e-3`` times the population std of the
     differenced target (an absolute value may be passed instead).
 
-    A target with no variance after differencing yields a model with zero
-    stages and ``ref_stats.std == 0.0``; :func:`compute_zscore` refuses to
-    score its residual.
+    A target with no variance after differencing (:func:`is_flat`) yields a
+    model with zero stages; :func:`compute_zscore` refuses to score its
+    residual.
     """
     features = list(features)
     if not features:
@@ -182,10 +170,7 @@ def boosted_fit(
     residual = work.values.copy()
     if is_flat(residual):
         return BoostedModel(
-            stages=(),
-            epsilon=float(epsilon) if epsilon is not None else 0.0,
-            k_diffs=k_diffs,
-            ref_stats=ResidualStats(mean=float(residual.mean()), std=0.0, n=residual.size),
+            stages=(), epsilon=float(epsilon) if epsilon is not None else 0.0, k_diffs=k_diffs
         )
     eps = float(epsilon) if epsilon is not None else 1e-3 * float(residual.std())
 
@@ -198,12 +183,7 @@ def boosted_fit(
             break
         stages.append(stage)
         residual = residual - contribution
-    return BoostedModel(
-        stages=tuple(stages),
-        epsilon=eps,
-        k_diffs=k_diffs,
-        ref_stats=residual_stats(residual),
-    )
+    return BoostedModel(stages=tuple(stages), epsilon=eps, k_diffs=k_diffs)
 
 
 def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
@@ -233,16 +213,10 @@ def model_to_dict(model: BoostedModel) -> dict:
         "version": MODEL_FORMAT_VERSION,
         "k_diffs": model.k_diffs,
         "epsilon": model.epsilon,
-        "ref_stats": {
-            "mean": model.ref_stats.mean,
-            "std": model.ref_stats.std,
-            "n": model.ref_stats.n,
-        },
         "stages": [
             {
                 "feature": _feature_to_dict(stage.feature),
                 "lookup": stage.lookup.tolist(),
-                "global_mean": stage.global_mean,
                 "sse_reduction": stage.sse_reduction,
             }
             for stage in model.stages
@@ -254,14 +228,11 @@ _FEATURE = {"kind": "string", "holiday_dates": json_array(date.fromisoformat)}
 _STAGE = {
     "feature": lambda doc: FeatureSpec(**json_object(doc, _FEATURE, ("kind",))),
     "lookup": json_array("float"),
-    "global_mean": "float",
     "sse_reduction": "float",
 }
-_STATS = {"mean": "float", "std": "float", "n": "int"}
 _MODEL = {
     "k_diffs": "int",
     "epsilon": "float",
-    "ref_stats": lambda doc: ResidualStats(**json_object(doc, _STATS, _STATS)),
     "stages": json_array(lambda doc: EmbeddingModel(**json_object(doc, _STAGE, _STAGE))),
 }
 
@@ -277,5 +248,5 @@ def save_model(model: BoostedModel, path) -> None:
 
 
 def load_model(path) -> BoostedModel:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))

@@ -110,7 +110,7 @@ def write_json(path, doc) -> None:
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)

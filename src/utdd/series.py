@@ -21,11 +21,9 @@ from .errors import CsvFormatError, InvalidArgumentError
 __all__ = [
     "TimeSeries",
     "FeatureSpec",
-    "ResidualStats",
     "FEATURE_KINDS",
     "diff",
     "extract_feature",
-    "residual_stats",
     "is_flat",
     "parse_utc",
     "format_utc",
@@ -220,21 +218,6 @@ class FeatureSpec:
         return _CARDINALITY[self.kind]
 
 
-@dataclass(frozen=True)
-class ResidualStats:
-    """Mean and population standard deviation of a residual window."""
-
-    mean: float
-    std: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InvalidArgumentError("residual statistics need at least two observations")
-        if not (math.isfinite(self.mean) and 0 <= self.std < math.inf):
-            raise InvalidArgumentError("mean must be finite, standard deviation finite and >= 0")
-
-
 def diff(series: TimeSeries, k: int) -> TimeSeries:
     """k-th order forward difference of a series.
 
@@ -279,14 +262,6 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     days = us.astype("datetime64[us]").astype("datetime64[D]")
     table = np.array(sorted(spec.holiday_dates), dtype="datetime64[D]")
     return np.isin(days, table).astype(np.int64)
-
-
-def residual_stats(values: Sequence[float]) -> ResidualStats:
-    """Mean and population standard deviation of ``values`` (length >= 2)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise InvalidArgumentError("residual statistics need at least two values")
-    return ResidualStats(mean=float(arr.mean()), std=float(arr.std()), n=int(arr.size))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +322,7 @@ def write_timestamp_table(
     if any(len(col) != len(fields[0]) for col in fields):
         raise InvalidArgumentError("need one value per timestamp in every column")
     text = "\n".join(["timestamp," + ",".join(columns), *map(",".join, zip(*fields)), ""])
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -412,7 +387,7 @@ def read_timestamp_table(
     Raises :class:`CsvFormatError` naming the offending line on malformed
     content.
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CsvFormatError("file is empty", line=1)

@@ -269,5 +269,5 @@ def sim_config_from_dict(doc) -> SimConfig:
 
 def load_sim_config(path) -> SimConfig:
     """Load and validate a simulation config from a JSON file."""
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         return sim_config_from_dict(json.load(fh))

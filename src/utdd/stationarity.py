@@ -138,7 +138,7 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
         When fewer than 10 usable observations remain after lag construction,
         or the observation count does not exceed the regressor count by >= 2.
     DegenerateInputError
-        For constant input or an otherwise singular regression design.
+        For a singular regression design, as every constant series gives.
     """
     x = _series_values(series)
     n = x.size
@@ -155,9 +155,6 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
             f"{n} points leave {nobs} usable observations for {nreg} regressors; "
             "need at least 10 and regressors + 2"
         )
-    if np.ptp(x) == 0.0:
-        raise DegenerateInputError("constant series has no unit-root question")
-
     dx = np.diff(x)
     # observation rows are t = L+1 .. n-1 (0-based series indexing)
     y = dx[L:]

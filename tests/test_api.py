@@ -14,10 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Names that duplicated other code and were removed; each has a replacement.
 REMOVED = {
-    "utdd": ("utdd", "training_residual"),  # run_utdd(...).report; WindowFit.residual
+    "utdd": ("utdd", "training_residual",  # run_utdd(...).report; WindowFit.residual
+             "ResidualStats", "residual_stats"),  # compute_zscore reads the residual itself
     "utdd.drift": ("utdd",),
     "utdd.embeddings": ("training_residual", "_stage_spec"),
-    "utdd.series": ("_first_failure", "json_scalar", "write_json"),  # utdd.jsondoc
+    "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
+                    "ResidualStats", "residual_stats"),
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
 }
 
@@ -41,9 +43,8 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert [f.name for f in fields(utdd.FeatureSpec)] == ["kind", "holiday_dates"]
     assert "exogenous" not in utdd.FEATURE_KINDS
     assert len(utdd.FEATURE_KINDS) == 5
-    assert [f.name for f in fields(utdd.EmbeddingModel)] == [
-        "feature", "lookup", "global_mean", "sse_reduction"
-    ]
+    assert [f.name for f in fields(utdd.EmbeddingModel)] == ["feature", "lookup", "sse_reduction"]
+    assert [f.name for f in fields(utdd.BoostedModel)] == ["stages", "epsilon", "k_diffs"]
     assert not hasattr(utdd.EmbeddingModel, "table")
     assert not hasattr(utdd.BoostedModel, "degenerate")
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__

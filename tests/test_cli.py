@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from utdd import boosted_predict, diff, load_model, read_series_csv
+import utdd
+from utdd import load_model, read_series_csv
 from utdd.cli import main
 from utdd.series import read_timestamp_table, write_series_csv
 
@@ -121,6 +125,9 @@ def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
 
 
 MINIMAL_CONFIG = {"start": "2020-08-01T00:00:00Z", "step_seconds": 3600, "n": 48}
+# exit 1 would claim drift, so input too large to hold or to parse exits 2
+PAST_MEMORY = {"start": "1970-01-01T00:00:00Z", "step_seconds": 1e-6, "n": 10**17}  # 711 PiB
+NESTED_DEEP = "[" * 3000 + "]" * 3000
 
 
 @pytest.mark.parametrize(
@@ -140,10 +147,12 @@ MINIMAL_CONFIG = {"start": "2020-08-01T00:00:00Z", "step_seconds": 3600, "n": 48
         json.dumps({**MINIMAL_CONFIG, "components": [{"s": 4, "init_gamma": "12"}]}).encode(),
         json.dumps({**MINIMAL_CONFIG, "sigma_eps": "0.3"}).encode(),
         json.dumps({**MINIMAL_CONFIG, "step_seconds": float("nan")}).encode(),
+        json.dumps(PAST_MEMORY).encode(),
+        NESTED_DEEP.encode(),
     ],
     ids=["list", "n-text", "trend-number", "init_gamma-number", "drift-at-text",
          "start-number", "seed-negative", "utf16", "n-fraction", "s-text", "seed-bool",
-         "init_gamma-text", "sigma_eps-text", "step-nan"],
+         "init_gamma-text", "sigma_eps-text", "step-nan", "past-memory", "nested-deep"],
 )
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -165,32 +174,22 @@ def test_fit_writes_model_and_summary(fixture_csv, tmp_path, capsys):
          "--model-out", str(model_out)]
     )
     assert code == 0
-    printed = capsys.readouterr().out
-    assert "k_diffs" in printed and "stages" in printed and "sse_reduction" in printed
+    printed = capsys.readouterr().out.splitlines()
 
-    # the printed summary and the stored model agree with a fresh replay
+    # the printed summary is the stored model, one key per line
     model = load_model(model_out)
-    series = read_series_csv(fixture_csv)
-    window = series.window(*_parse_window("2020-08-01T00:00:00Z", "2020-10-01T00:00:00Z"))
-    grid = diff(window, model.k_diffs)
-    resid = grid.values - boosted_predict(model, grid)
-    assert_allclose(resid.mean(), model.ref_stats.mean, atol=1e-10)
-    assert_allclose(resid.std(), model.ref_stats.std, atol=1e-10)
-    printed_std = float(_summary_value(printed, "ref_std"))
-    assert_allclose(printed_std, resid.std(), atol=1e-10)
-
-
-def _parse_window(a, b):
-    from utdd.series import parse_utc
-
-    return parse_utc(a), parse_utc(b)
-
-
-def _summary_value(printed, key):
-    for line in printed.splitlines():
-        if line.startswith(key):
-            return line.split()[-1]
-    raise AssertionError(f"{key} not in output")
+    summary = dict(line.split(None, 1) for line in printed[:-1])
+    assert list(summary) == ["k_diffs", "epsilon", "stages"] + [
+        f"stage[{i}]" for i in range(len(model.stages))
+    ]
+    assert printed[-1] == f"wrote {model_out}"
+    assert int(summary["k_diffs"]) == model.k_diffs
+    assert float(summary["epsilon"]) == model.epsilon
+    assert int(summary["stages"]) == len(model.stages) == 2
+    for i, stage in enumerate(model.stages):
+        kind, label, value = summary[f"stage[{i}]"].split()
+        assert (kind, label) == (stage.feature.kind, "sse_reduction")
+        assert float(value) == stage.sse_reduction
 
 
 def test_fit_huge_epsilon_warns(fixture_csv, tmp_path, capsys):
@@ -381,6 +380,30 @@ def test_report_errors(tmp_path, capsys):
     partial.write_bytes(utf16(json.dumps(good)))
     assert main(["report", "--report", str(partial)]) == 2
     assert_one_error_line(capsys.readouterr().err)
+    partial.write_text(NESTED_DEEP)
+    assert main(["report", "--report", str(partial)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_every_command_names_its_text_encoding(tmp_path):
+    # EncodingWarning marks an open() that would follow the locale, not UTF-8
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(utdd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")])}
+    csv, report, model = (str(tmp_path / name) for name in ("s.csv", "r.json", "m.json"))
+    runs = [
+        (["simulate", "--config", FIXTURE_CONFIG, "--out", csv], 0),
+        (["detect", "--input", csv, *REF, *CUR, "--report-out", report], 1),
+        (["report", "--report", report], 1),
+        (["fit", "--input", csv, "--from", REF[1], "--to", REF[3],
+          "--features", "day_of_week,hour_of_day", "--model-out", model], 0),
+    ]
+    for argv, code in runs:
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "utdd", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert (done.returncode, done.stderr) == (code, ""), argv
 
 
 def test_cli_requires_a_subcommand(capsys):

@@ -56,7 +56,6 @@ def test_fit_embedding_group_means_by_hand():
     spec = FeatureSpec("is_weekend")
     m = fit_embedding([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0], spec)
     assert m.lookup.tolist() == [1.5, 3.5]
-    assert m.global_mean == 2.5
     # baseline SSE 5.0, fitted SSE 1.0
     assert_allclose(m.sse_reduction, 4.0)
 
@@ -115,9 +114,7 @@ def test_boosted_fit_recovers_additive_effects():
     assert [st_.feature.kind for st_ in model.stages] == ["day_of_week", "hour_of_day"]
     resid = s.values - boosted_predict(model, s)
     assert resid.std() <= 1.1 * 0.5
-    assert_allclose(model.ref_stats.mean, resid.mean(), atol=1e-12)
-    assert_allclose(model.ref_stats.std, resid.std(), atol=1e-12)
-    assert model.ref_stats.n == len(s)
+    assert abs(resid.mean()) < 1e-12
 
 
 def test_boosted_fit_stops_at_first_weak_stage():
@@ -137,7 +134,6 @@ def test_boosted_fit_huge_epsilon_gives_empty_model():
     s = weeks(4, seed=3)
     model = boosted_fit(s, (DOW, HOD), epsilon=1e9, k_diffs=0)
     assert model.stages == ()
-    assert model.ref_stats.std > 0.0
     grid = hourly(np.zeros(24))
     assert_array_equal(boosted_predict(model, grid), np.zeros(24))
 
@@ -158,8 +154,7 @@ def test_boosted_fit_with_differencing_replays_consistently():
     d = diff(s, 1)
     resid = d.values - boosted_predict(model, d)
     assert resid.shape == (len(s) - 1,)
-    assert_allclose(model.ref_stats.mean, resid.mean(), atol=1e-12)
-    assert_allclose(model.ref_stats.std, resid.std(), atol=1e-12)
+    assert abs(resid.mean()) < 1e-12
 
 
 def test_boosted_predict_on_heldout_grid():
@@ -177,8 +172,7 @@ def test_boosted_fit_degenerate_constant_series():
     s = hourly(np.full(400, 2.5))
     model = boosted_fit(s, (DOW, HOD), k_diffs=0)
     assert model.stages == ()
-    assert model.ref_stats.std == 0.0
-    assert model.ref_stats.mean == 2.5
+    assert model.epsilon == 0.0
 
 
 def test_boosted_fit_validation():
@@ -208,12 +202,10 @@ def test_model_json_roundtrip_is_exact(tmp_path):
     back = load_model(path)
     assert back.epsilon == model.epsilon
     assert back.k_diffs == model.k_diffs
-    assert back.ref_stats == model.ref_stats
     assert len(back.stages) == len(model.stages)
     for a, b in zip(model.stages, back.stages):
         assert a.feature == b.feature
         assert_array_equal(a.lookup, b.lookup)
-        assert a.global_mean == b.global_mean
         assert a.sse_reduction == b.sse_reduction
     grid = hourly(np.zeros(500))
     assert_array_equal(boosted_predict(back, grid), boosted_predict(model, grid))
@@ -228,12 +220,13 @@ def test_model_version_is_checked():
         model_from_dict(doc)
 
 
-def test_model_v2_stores_dense_lookups_and_refuses_v1():
+def test_model_v3_stores_dense_lookups_and_refuses_v1():
     s = weeks(4, seed=11)
     model = boosted_fit(s, (DOW,), k_diffs=0)
     doc = model_to_dict(model)
-    assert doc["version"] == MODEL_FORMAT_VERSION == 2
-    assert list(doc["stages"][0]) == ["feature", "lookup", "global_mean", "sse_reduction"]
+    assert doc["version"] == MODEL_FORMAT_VERSION == 3
+    assert list(doc) == ["version", "k_diffs", "epsilon", "stages"]
+    assert list(doc["stages"][0]) == ["feature", "lookup", "sse_reduction"]
     assert doc["stages"][0]["feature"] == {"kind": "day_of_week"}
     assert doc["stages"][0]["lookup"] == model.stages[0].lookup.tolist()
     back = model_from_dict(json.loads(json.dumps(doc)))
@@ -250,7 +243,7 @@ def test_model_v2_stores_dense_lookups_and_refuses_v1():
             {
                 "feature": {"kind": "day_of_week", "cardinality": 7},
                 "table": {str(c): v for c, v in enumerate(stage["lookup"])},
-                "global_mean": stage["global_mean"],
+                "global_mean": 0.0,
                 "sse_reduction": stage["sse_reduction"],
             }
         ],
@@ -263,14 +256,27 @@ def test_model_v2_stores_dense_lookups_and_refuses_v1():
         model_from_dict(short)
 
 
+def test_model_v3_refuses_the_v2_summary_fields():
+    doc = model_to_dict(boosted_fit(weeks(4, seed=11), (DOW,), k_diffs=0))
+    v2_stats = {"mean": 0.0, "std": 1.0, "n": 672}
+    with pytest.raises(InvalidArgumentError, match="^ref_stats: unknown key$"):
+        model_from_dict({**doc, "ref_stats": v2_stats})
+    stale = copy.deepcopy(doc)
+    stale["stages"][0]["global_mean"] = 5.0
+    with pytest.raises(InvalidArgumentError, match=r"^stages\[0\]\.global_mean: unknown key$"):
+        model_from_dict(stale)
+    # a whole version 2 document is refused by its version, before any key is read
+    v2 = {**stale, "version": 2, "ref_stats": v2_stats}
+    with pytest.raises(InvalidArgumentError, match="version 2 is not supported; run utdd fit"):
+        model_from_dict(v2)
+
+
 def _malformed_model_docs():
     doc = model_to_dict(boosted_fit(weeks(4, seed=12), (DOW, HOD), k_diffs=0))
     assert len(doc["stages"]) == 2
     changes = {
-        "no-ref_stats": lambda d: d.pop("ref_stats"),
         "no-epsilon": lambda d: d.pop("epsilon"),
-        "no-ref_stats.n": lambda d: d["ref_stats"].pop("n"),
-        "ref_stats-list": lambda d: d.update(ref_stats=[1, 2]),
+        "ref_stats-list": lambda d: d.update(ref_stats=[1, 2]),  # a key that v3 dropped
         "k_diffs-text": lambda d: d.update(k_diffs="one"),
         "epsilon-null": lambda d: d.update(epsilon=None),
         "stages-number": lambda d: d.update(stages=5),
@@ -287,16 +293,14 @@ def _malformed_model_docs():
         "holidays-on-dow": lambda d: d["stages"][0]["feature"].update(
             holiday_dates=["2020-01-01"]
         ),
-        "global_mean-text": lambda d: d["stages"][0].update(global_mean="mean"),
+        "global_mean-text": lambda d: d["stages"][0].update(global_mean="mean"),  # dropped too
         "k_diffs-fraction": lambda d: d.update(k_diffs=1.9),
         "k_diffs-bool": lambda d: d.update(k_diffs=True),
-        "ref_stats.n-fraction": lambda d: d["ref_stats"].update(n=399.9),
         "epsilon-text": lambda d: d.update(epsilon="nan"),
         "epsilon-nan": lambda d: d.update(epsilon=float("nan")),
         "lookup-number-text": lambda d: d["stages"][0].update(lookup=["1.0"] * 7),
         "k_diffs-negative": lambda d: d.update(k_diffs=-3),
         "epsilon-negative": lambda d: d.update(epsilon=-5.0),
-        "ref_stats.std-infinity": lambda d: d["ref_stats"].update(std=float("inf")),
     }
     params = [pytest.param([], id="list"), pytest.param("model", id="text")]
     for name, change in changes.items():
@@ -314,14 +318,11 @@ def test_model_from_dict_refuses_malformed_documents(doc):
 
 def test_model_dataclasses_refuse_what_boosted_fit_never_writes():
     model = boosted_fit(weeks(4, seed=13), (DOW,), k_diffs=0)
-    stage, stats = model.stages[0], model.ref_stats
+    stage = model.stages[0]
     for change in (dict(k_diffs=-3), dict(epsilon=-5.0), dict(epsilon=float("inf"))):
         with pytest.raises(InvalidArgumentError):
             replace(model, **change)
-    for change in (dict(lookup=np.full(7, np.inf)), dict(global_mean=float("nan")),
+    for change in (dict(lookup=np.full(7, np.inf)), dict(lookup=np.full(7, np.nan)),
                    dict(sse_reduction=-1.0), dict(sse_reduction=float("inf"))):
         with pytest.raises(InvalidArgumentError):
             replace(stage, **change)
-    for change in (dict(mean=float("inf")), dict(std=float("inf")), dict(std=float("nan"))):
-        with pytest.raises(InvalidArgumentError):
-            replace(stats, **change)

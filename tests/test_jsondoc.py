@@ -68,13 +68,13 @@ FAULTS = [
     ("model", (), [], "document"),
     ("model", ("extra",), 1, "extra"),
     ("model", ("stages", 0, "feature", "extra"), 1, "stages[0].feature.extra"),
-    ("model", ("ref_stats", "n"), DELETE, "ref_stats.n"),
+    ("model", ("stages", 0, "feature", "kind"), DELETE, "stages[0].feature.kind"),
     ("model", ("stages", 1, "lookup", 3), "x", "stages[1].lookup[3]"),
     ("model", ("stages", 1, "lookup", 3), NAN, "stages[1].lookup[3]"),
     ("model", ("epsilon",), INF, "epsilon"),
-    ("model", ("ref_stats", "std"), INF, "ref_stats.std"),
-    ("model", ("stages", 0, "global_mean"), -INF, "stages[0].global_mean"),
-    ("model", ("ref_stats",), [1, 2], "ref_stats"),
+    ("model", ("stages", 1, "sse_reduction"), INF, "stages[1].sse_reduction"),
+    ("model", ("stages", 0, "sse_reduction"), -INF, "stages[0].sse_reduction"),
+    ("model", ("stages", 1, "feature"), [1, 2], "stages[1].feature"),
     ("model", ("stages",), {"0": 1}, "stages"),
     ("model", ("stages", 0, "lookup"), {"0": 1.0}, "stages[0].lookup"),
     ("report", (), [REPORT], "document"),

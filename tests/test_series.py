@@ -16,7 +16,6 @@ from utdd import (
     diff,
     extract_feature,
     read_series_csv,
-    residual_stats,
     write_series_csv,
 )
 from utdd.series import (
@@ -299,15 +298,6 @@ def test_feature_codes_match_datetime_library(offset_hours):
     assert extract_feature(s, FeatureSpec("day_of_week"))[0] == when.weekday()
     assert extract_feature(s, FeatureSpec("month_of_year"))[0] == when.month - 1
     assert extract_feature(s, FeatureSpec("is_weekend"))[0] == int(when.weekday() >= 5)
-
-
-def test_residual_stats_values():
-    stats = residual_stats(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert stats.mean == 2.5
-    assert_allclose(stats.std, np.std([1.0, 2.0, 3.0, 4.0]))
-    assert stats.n == 4
-    with pytest.raises(InvalidArgumentError):
-        residual_stats(np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,15 @@ def test_adf_accepts_series_objects():
 
 
 def test_adf_rejects_constant_series():
-    with pytest.raises(DegenerateInputError):
-        adf_test(np.full(100, 3.25))
+    # no flatness check of its own: the ols rank rule refuses every constant,
+    # from the smallest subnormal to near the float limit (warnings are errors)
+    sizes_and_lags = [(12, 0), (12, 1)] + [
+        (n, lags) for n in (24, 100, 8760) for lags in (None, 0, 1, 3)
+    ]
+    for c in (0.0, 3.25, -3.25, 1e-300, -1e-300, 5e-324, 1e300, -1e300, -1.7e308, 1e12):
+        for n, lags in sizes_and_lags:
+            with pytest.raises(DegenerateInputError):
+                adf_test(np.full(n, c), lags=lags)
 
 
 def test_adf_rejects_short_series():
