@@ -56,20 +56,24 @@ def utc_us(dt: datetime) -> int:
     return (_coerce_utc(dt) - _EPOCH) // _ONE_US
 
 
-def check_grid(start: datetime, step: float, n: int) -> float:
-    """``step`` as a float, for an ``n``-point grid that begins at ``start``.
+def check_grid(start: datetime, step: float, n: int) -> int:
+    """``step`` in whole microseconds, for an ``n``-point grid that begins at ``start``.
 
-    Refuses a step that is not a positive number of seconds and a grid whose
-    last point falls past ``datetime.max``.  Nothing is allocated, so a
-    caller can check a length before building its arrays.
+    The step is rounded once to the nearest microsecond (ties to even).  Refuses
+    a step that is not a positive number of seconds or that rounds to 0 µs or
+    past 1e9 s, and a grid whose last point falls past ``datetime.max``.
+    Nothing is allocated, so a caller can check a length before building arrays.
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0):
         raise InvalidArgumentError("step must be a positive number of seconds")
-    # epoch_us of the last point may not pass datetime.max (float-int comparison is exact)
-    if not (n - 1) * (step * _US_PER_SECOND) <= _MAX_US - utc_us(start):
+    # capped so that round() cannot overflow; a capped step fails a test below
+    step_us = round(min(step * _US_PER_SECOND, 1e18))
+    if (n - 1) * step_us > _MAX_US - utc_us(start):
         raise InvalidArgumentError(f"the series ends past {format_utc(datetime.max)}")
-    return step
+    if not 0 < step_us <= 10**15:  # up to 1e9 s, k µs -> k / 1e6 s -> k µs is exact
+        raise InvalidArgumentError(f"step must round to 1 microsecond .. 1e9 s, not {step!r} s")
+    return step_us
 
 
 def is_flat(values) -> bool:
@@ -105,16 +109,16 @@ def format_utc(dt: datetime) -> str:
 class TimeSeries:
     """A uniformly spaced, real-valued series.
 
-    The timestamp of index ``n`` is ``start + n * step`` and is never stored
-    per point.  ``step`` is in seconds and must be positive; values must be
-    finite.  The backing array is made read-only at construction.
+    The timestamp of index ``i`` is ``start + i * step``, never stored per
+    point, in whole microseconds: :func:`check_grid` rounds ``step`` once.
+    Values must be finite.  The backing array is made read-only at construction.
 
     Parameters
     ----------
     start : datetime
         Timestamp of the first point.  Naive datetimes are interpreted as UTC.
     step : float
-        Spacing between consecutive points, in seconds.
+        Spacing between consecutive points, in seconds: over 0.5 µs, at most 1e9 s.
     values : array_like
         One-dimensional sequence of finite floats, length >= 1.
     """
@@ -130,7 +134,8 @@ class TimeSeries:
             raise InvalidArgumentError("values must be a one-dimensional, non-empty sequence")
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("values must be finite (no NaN or infinity)")
-        object.__setattr__(self, "step", check_grid(self.start, self.step, values.size))
+        step_us = check_grid(self.start, self.step, values.size)
+        object.__setattr__(self, "step", step_us / _US_PER_SECOND)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -139,13 +144,12 @@ class TimeSeries:
 
     def timestamp(self, index: int) -> datetime:
         """Timestamp of the point at ``index``."""
-        return self.start + timedelta(seconds=index * self.step)
+        return self.start + timedelta(microseconds=int(index) * round(self.step * _US_PER_SECOND))
 
     def epoch_us(self) -> np.ndarray:
         """Microseconds since the Unix epoch for every point (int64)."""
-        base = utc_us(self.start)
-        offsets = np.rint(np.arange(len(self)) * (self.step * _US_PER_SECOND))
-        return base + offsets.astype(np.int64)
+        step_us = round(self.step * _US_PER_SECOND)
+        return utc_us(self.start) + np.arange(len(self), dtype=np.int64) * step_us
 
     def window(self, start_at: datetime, end_before: datetime) -> "TimeSeries":
         """Sub-series with ``start_at <= timestamp < end_before`` (half-open).
@@ -232,9 +236,7 @@ def diff(series: TimeSeries, k: int) -> TimeSeries:
         raise InvalidArgumentError(
             f"difference order {k} requires a series longer than {k} points"
         )
-    values = np.diff(series.values, n=k)
-    start = series.start + timedelta(seconds=k * series.step)
-    return TimeSeries(start, series.step, values)
+    return TimeSeries(series.timestamp(k), series.step, np.diff(series.values, n=k))
 
 
 def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
@@ -257,8 +259,6 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     # is_holiday
     if spec.holiday_dates is None:
         raise InvalidArgumentError("is_holiday extraction requires holiday_dates")
-    if not spec.holiday_dates:
-        return np.zeros(len(series), dtype=np.int64)
     days = us.astype("datetime64[us]").astype("datetime64[D]")
     table = np.array(sorted(spec.holiday_dates), dtype="datetime64[D]")
     return np.isin(days, table).astype(np.int64)

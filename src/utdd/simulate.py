@@ -177,14 +177,9 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
         seasonal += gammas[:, lo:hi].sum(axis=1)
 
     grid = TimeSeries(cfg.start, cfg.step, np.zeros(n))
-    weekend = extract_feature(grid, FeatureSpec("is_weekend")).astype(np.float64)
+    weekend = extract_feature(grid, FeatureSpec("is_weekend"))
     scale = np.where(weekend > 0, cfg.weekend_scale, 1.0)
-    if cfg.holidays:
-        holiday = extract_feature(
-            grid, FeatureSpec("is_holiday", holiday_dates=cfg.holidays)
-        ).astype(np.float64)
-    else:
-        holiday = np.zeros(n)
+    holiday = extract_feature(grid, FeatureSpec("is_holiday", holiday_dates=cfg.holidays))
 
     t_idx = np.arange(n, dtype=np.float64)
     level_shift = np.zeros(n)

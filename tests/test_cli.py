@@ -80,6 +80,22 @@ def test_simulate_single_row_config(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_simulate_at_a_third_of_a_second_then_fit(tmp_path, capsys):
+    # 1/3 s rounds once to 333,333 microseconds, so every gap in the CSV is the same
+    cfg = {"start": "2020-08-01T00:00:00Z", "step_seconds": 1 / 3, "n": 100, "sigma_eps": 1.0}
+    path, out, model = tmp_path / "third.json", tmp_path / "third.csv", tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert "2020-08-01T00:00:32.999967Z" in capsys.readouterr().out
+    _, stamps, _ = read_timestamp_table(out)
+    assert set(np.diff(stamps).tolist()) == {333_333}
+    code = main(["fit", "--input", str(out), "--from", "2020-08-01T00:00:00Z",
+                 "--to", "2020-08-01T00:01:00Z", "--features", "hour_of_day",
+                 "--model-out", str(model)])
+    assert code == 0, capsys.readouterr().err
+    assert load_model(model).stages
+
+
 def test_simulate_missing_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -147,12 +163,14 @@ NESTED_DEEP = "[" * 3000 + "]" * 3000
         json.dumps({**MINIMAL_CONFIG, "components": [{"s": 4, "init_gamma": "12"}]}).encode(),
         json.dumps({**MINIMAL_CONFIG, "sigma_eps": "0.3"}).encode(),
         json.dumps({**MINIMAL_CONFIG, "step_seconds": float("nan")}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "step_seconds": 1e-7}).encode(),
         json.dumps(PAST_MEMORY).encode(),
         NESTED_DEEP.encode(),
     ],
     ids=["list", "n-text", "trend-number", "init_gamma-number", "drift-at-text",
          "start-number", "seed-negative", "utf16", "n-fraction", "s-text", "seed-bool",
-         "init_gamma-text", "sigma_eps-text", "step-nan", "past-memory", "nested-deep"],
+         "init_gamma-text", "sigma_eps-text", "step-nan", "step-rounds-to-0-us", "past-memory",
+         "nested-deep"],
 )
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, content):
     path = tmp_path / "bad.json"

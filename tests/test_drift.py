@@ -204,6 +204,16 @@ def test_run_utdd_refuses_windows_with_different_steps(monkeypatch):
     assert calls == []
 
 
+def test_run_utdd_compares_steps_on_the_microsecond_grid():
+    # 0.1 * 3 is 0.30000000000000004 s: both windows step 300,000 microseconds
+    values = two_month_series(seed=7).values
+    ref, same = (TimeSeries(T0, step, values[:700]) for step in (0.1 * 3, 0.3))
+    cur = TimeSeries(ref.timestamp(700), 0.3, values[700:])
+    assert ref.step == 0.3 and cur.epoch_us()[0] - ref.epoch_us()[-1] == 300_000
+    assert run_utdd(ref, cur, FEATS).report == run_utdd(same, cur, FEATS).report
+    assert run_utdd(cur, ref, FEATS).report == run_utdd(cur, same, FEATS).report
+
+
 def test_one_flatness_rule_for_ndiffs_boosted_fit_and_zscore():
     # std is 1e-11 * (1 + |mean|): flat under the one 1e-10 rule everywhere
     rng = np.random.default_rng(11)

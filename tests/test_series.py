@@ -465,7 +465,7 @@ def test_timestamp_table_refuses_stamps_outside_the_datetime_range(tmp_path):
 # CSV properties: the grid writer and reader against per-row references
 # ---------------------------------------------------------------------------
 
-STEPS = (0.5, 1.5, 3600.0, 86400.0)
+STEPS = (0.5, 1.5, 3600.0, 86400.0, 1 / 3, 1e-6)
 
 
 @st.composite
@@ -478,6 +478,47 @@ def grid_series(draw, max_rows=30):
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=max_rows)
     )
     return TimeSeries(start.replace(tzinfo=UTC), draw(st.sampled_from(STEPS)), values)
+
+
+@given(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)),
+    st.one_of(st.sampled_from(STEPS + (0.1 * 3, 2.5e-6)), st.floats(1e-6, 86400.0)),
+    st.integers(1, 30),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_timestamp_is_one_exact_microsecond_grid(tmp_path_factory, start, step, n, data):
+    s = TimeSeries(start.replace(tzinfo=UTC), step, np.arange(float(n)))
+    us = s.epoch_us().tolist()
+    assert timestamps(s) == [EPOCH + timedelta(microseconds=t) for t in us]
+    assert s.step == round(step * 1e6) / 1e6
+    assert set(np.diff(us).tolist()) <= {round(step * 1e6)}
+
+    k = data.draw(st.integers(0, n - 1))
+    assert diff(s, k).epoch_us().tolist() == us[k:]
+    assert timestamps(diff(s, k)) == timestamps(s)[k:]
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    w = s.window(s.timestamp(lo), s.timestamp(hi))
+    assert w.epoch_us().tolist() == us[lo:hi]
+    assert timestamps(w) == timestamps(s)[lo:hi]
+    assert diff(s, k).step == w.step == s.step
+
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    write_series_csv(s, path)
+    back = read_series_csv(path)
+    assert back.epoch_us().tolist() == us
+    assert back.step == (s.step if n > 1 else 1.0)
+
+
+def test_steps_round_to_whole_microseconds_from_1_us_to_1e9_s():
+    assert TimeSeries(T0, 0.1 * 3, np.zeros(2)).step == TimeSeries(T0, 0.3, np.zeros(2)).step == 0.3
+    ties = [TimeSeries(T0, us * 1e-6, np.zeros(2)).step for us in (0.51, 1.5, 2.5, 2.51)]
+    assert ties == [1e-6, 2e-6, 2e-6, 3e-6]
+    for step in (1e-7, 5e-7, 0.5e-6, 1e9 + 1e-6, 1e12):
+        with pytest.raises(InvalidArgumentError, match="step must round to 1 microsecond"):
+            TimeSeries(T0, step, np.zeros(1))
+    assert TimeSeries(T0, 1e9, np.zeros(2)).timestamp(1) == T0 + timedelta(seconds=1e9)
 
 
 def per_row_csv(columns, timestamps, arrays):
