@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, replace
 from datetime import date
@@ -40,7 +41,9 @@ from .drift import (
 )
 from .embeddings import DEFAULT_FEATURE_ORDER, boosted_fit, save_model
 from .errors import InvalidArgumentError, UtddError
-from .series import FeatureSpec, TimeSeries, format_utc, parse_utc, read_series_csv, write_series_csv
+from .series import (
+    _NUMBER, FeatureSpec, TimeSeries, format_utc, parse_utc, read_series_csv, write_series_csv,
+)
 from .simulate import load_sim_config, simulate_series
 from .stationarity import ndiffs
 
@@ -54,6 +57,19 @@ def _parse_when(text: str, flag: str):
         return parse_utc(text)
     except ValueError as exc:
         raise InvalidArgumentError(f"{flag}: {exc}") from None
+
+
+def _number(convert):
+    """An argparse type: ``convert`` of text in the CSV readers' ASCII number syntax only."""
+    def parse(text: str):
+        if not re.fullmatch(_NUMBER, text):  # int() and float() also take `1_0`, ` 1` and `٣`
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse's message: "invalid int value: '0_1'"
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _parse_holidays(text: Optional[str]) -> frozenset:
@@ -105,7 +121,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     env_seed = os.environ.get("UTDD_SEED")
     if env_seed:
         try:
-            cfg = replace(cfg, seed=int(env_seed))
+            cfg = replace(cfg, seed=_INT(env_seed))
         except ValueError:
             raise InvalidArgumentError(f"UTDD_SEED must be an integer, got {env_seed!r}") from None
     series = simulate_series(cfg)
@@ -188,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     window_fit = argparse.ArgumentParser(add_help=False)
     window_fit.add_argument("--input", required=True, help="input series CSV")
     window_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
-    window_fit.add_argument("--epsilon", type=float, help="stage termination threshold")
-    window_fit.add_argument("--max-diff", type=int, default=4, help="differencing cap (default 4)")
+    window_fit.add_argument("--epsilon", type=_FLOAT, help="stage termination threshold")
+    window_fit.add_argument("--max-diff", type=_INT, default=4, help="differencing cap (default 4)")
 
     p_fit = sub.add_parser("fit", parents=[window_fit], help="fit a seasonal model on one window")
     p_fit.add_argument("--from", dest="window_from", required=True, metavar="ISO")
@@ -211,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--cur-to", required=True, metavar="ISO")
     p_det.add_argument(
         "--threshold",
-        type=float,
+        type=_FLOAT,
         default=DEFAULT_THRESHOLD,
         help=f"drift threshold on |z_curr - z_ref| (default {DEFAULT_THRESHOLD})",
     )

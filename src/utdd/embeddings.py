@@ -157,8 +157,6 @@ def boosted_fit(
     if epsilon is not None and not epsilon > 0:
         raise InvalidArgumentError("epsilon must be positive")
     k_diffs = int(k_diffs)
-    if k_diffs < 0:
-        raise InvalidArgumentError("k_diffs must be non-negative")
     max_card = max(spec.cardinality for spec in features)
     if len(series) - k_diffs < 2 * max_card:
         raise InvalidArgumentError(

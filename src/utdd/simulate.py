@@ -38,7 +38,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_scalar
-from .series import FeatureSpec, TimeSeries, check_grid, extract_feature, parse_utc, utc_us
+from .series import (
+    FeatureSpec, TimeSeries, _coerce_utc, check_grid, extract_feature, parse_utc, utc_us,
+)
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -109,7 +111,10 @@ class DriftInjection:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full generator configuration; see the module docstring for the RNG contract."""
+    """Full generator configuration; see the module docstring for the RNG contract.
+
+    ``start`` is kept in UTC and ``step`` in whole microseconds, as the simulated series has them.
+    """
 
     start: datetime
     step: float
@@ -126,16 +131,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidArgumentError("n must be at least 1")
-        check_grid(self.start, self.step, self.n)
+        object.__setattr__(self, "start", _coerce_utc(self.start))
+        object.__setattr__(self, "step", check_grid(self.start, self.step, self.n) / 1e6)
         if not self.sigma_eps >= 0:
             raise InvalidArgumentError("sigma_eps must be non-negative")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be non-negative")
         object.__setattr__(self, "components", tuple(self.components))
-        holidays = frozenset(
-            d.date() if isinstance(d, datetime) else d for d in self.holidays
-        )
-        object.__setattr__(self, "holidays", holidays)
+        object.__setattr__(self, "holidays", FeatureSpec("is_holiday", self.holidays).holiday_dates)
 
 
 def simulate_series(cfg: SimConfig) -> TimeSeries:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff, is_flat
+from .series import TimeSeries, is_flat
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
@@ -38,19 +39,19 @@ ADF_CRITICAL_5PCT = -2.86
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Coefficients, standard errors and residuals of a least-squares fit."""
+    """Coefficients and their standard errors from a least-squares fit."""
 
     coef: np.ndarray
     stderr: np.ndarray
-    residuals: np.ndarray
 
 
 def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
     """Ordinary least squares from the R factor of ``[X | y]``; Q is never formed.
 
-    The last column of that factor holds ``Q'y``, so one R-only QR gives
-    both the triangular system and its right-hand side.  QR is used instead
-    of the normal equations because near-unit-root designs are
+    Its last column holds ``Q'y`` and its corner ``|R[k, k]|`` is the residual
+    norm (Golub & Van Loan, *Matrix Computations*, 5.3), so one R-only QR gives
+    the coefficients and ``stderr = |R[k, k]| sqrt(rowsumsq(R^-1) / (n - k))``.
+    QR is used instead of the normal equations because near-unit-root designs are
     ill-conditioned.  Raises :class:`DegenerateInputError` when the design
     matrix is rank-deficient and :class:`InvalidArgumentError` when there are
     not enough rows to estimate the error variance.
@@ -68,12 +69,10 @@ def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
     if np.any(np.abs(np.diag(r)) <= 1e-10 * col_scale):
         raise DegenerateInputError("design matrix is rank-deficient")
     coef = np.linalg.solve(r, ry[:k, k])
-    residuals = y - X @ coef
-    sigma2 = float(residuals @ residuals) / (n - k)
     r_inv = np.linalg.inv(r)
-    # diag of (X'X)^-1 = diag of R^-1 R^-T
-    stderr = np.sqrt(sigma2 * (r_inv * r_inv).sum(axis=1))
-    return OlsFit(coef=coef, stderr=stderr, residuals=residuals)
+    # diag of (X'X)^-1 = diag of R^-1 R^-T; R[k, k] stays unsquared, so it cannot overflow
+    stderr = abs(ry[k, k]) * np.sqrt((r_inv * r_inv).sum(axis=1) / (n - k))
+    return OlsFit(coef=coef, stderr=stderr)
 
 
 def schwert_lags(n: int) -> int:
@@ -106,15 +105,6 @@ class NdiffsResult:
     trail: tuple[AdfResult, ...]
 
 
-def _series_values(series: Union[TimeSeries, np.ndarray, list]) -> np.ndarray:
-    if isinstance(series, TimeSeries):
-        return series.values
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidArgumentError("series must be one-dimensional")
-    return arr
-
-
 def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = None) -> AdfResult:
     """Augmented Dickey-Fuller test with a constant and no deterministic trend.
 
@@ -135,19 +125,19 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
     Raises
     ------
     InvalidArgumentError
-        When fewer than 10 usable observations remain after lag construction,
-        or the observation count does not exceed the regressor count by >= 2.
+        When the series is not one-dimensional, ``lags`` is negative, fewer
+        than 10 usable observations remain after lag construction, or the
+        observation count does not exceed the regressor count by >= 2.
     DegenerateInputError
         For a singular regression design, as every constant series gives.
     """
-    x = _series_values(series)
+    x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidArgumentError("series must be one-dimensional")
     n = x.size
-    if lags is None:
-        L = schwert_lags(n)
-    else:
-        L = int(lags)
-        if L < 0:
-            raise InvalidArgumentError("lags must be non-negative")
+    L = schwert_lags(n) if lags is None else int(lags)
+    if L < 0:
+        raise InvalidArgumentError("lags must be non-negative")
     nobs = n - 1 - L
     nreg = L + 2  # constant, lagged level, L lagged differences
     if nobs < 10 or nobs < nreg + 2:
@@ -155,20 +145,12 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
             f"{n} points leave {nobs} usable observations for {nreg} regressors; "
             "need at least 10 and regressors + 2"
         )
-    dx = np.diff(x)
-    # observation rows are t = L+1 .. n-1 (0-based series indexing)
-    y = dx[L:]
-    cols = [np.ones(nobs), x[L : n - 1]]
-    for i in range(1, L + 1):
-        cols.append(dx[L - i : n - 1 - i])
-    fit = ols(np.column_stack(cols), y)
+    # one row per observation t = L+1 .. n-1 (0-based): dx_t, dx_{t-1}, ..., dx_{t-L}
+    lagged = sliding_window_view(np.diff(x), L + 1)[:, ::-1]
+    fit = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:]]), lagged[:, 0])
     statistic = float(fit.coef[1] / fit.stderr[1])
-    return AdfResult(
-        statistic=statistic,
-        lags_used=L,
-        critical_value_5pct=ADF_CRITICAL_5PCT,
-        stationary=statistic < ADF_CRITICAL_5PCT,
-    )
+    return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,
+                     stationary=statistic < ADF_CRITICAL_5PCT)
 
 
 def ndiffs(series: TimeSeries, max_diff: int = 4) -> NdiffsResult:
@@ -189,8 +171,9 @@ def ndiffs(series: TimeSeries, max_diff: int = 4) -> NdiffsResult:
         raise InvalidArgumentError("max_diff must be non-negative")
     trail: list[AdfResult] = []
     for k in range(max_diff + 1):
-        candidate = diff(series, k)
-        if is_flat(candidate.values):
+        # each level differences the last once, bit for bit as np.diff(x, n=k) does
+        candidate = np.diff(candidate) if k else series.values
+        if is_flat(candidate):
             return NdiffsResult(k=k, trail=tuple(trail))
         try:
             result = adf_test(candidate)

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -50,6 +52,11 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__
 
 
+def test_ols_fit_holds_coefficients_and_standard_errors_only():
+    # the residual norm is read from the R factor; no residual vector is formed
+    assert [f.name for f in fields(utdd.OlsFit)] == ["coef", "stderr"]
+
+
 def test_every_bench_probe_resolves():
     """A refactor that moves a probed call must move its probe too, or traced runs break."""
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
@@ -58,6 +65,19 @@ def test_every_bench_probe_resolves():
     for module_name, attribute, _, _ in tracer.CLI_PROBES + tracer.LIBRARY_PROBES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+
+
+def test_traced_bench_smoke_run_is_correct(tmp_path):
+    """Every expected span fires and every oracle check passes, which a probe that
+    merely resolves does not show: a call routed through a local binding skips its probe."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "all", "--seed", "1", "--seconds", "0.1",
+         "--trace", "1", "--out", str(tmp_path / "bench.json")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last
 
 
 def test_jsondoc_imports_only_the_standard_library_and_errors():

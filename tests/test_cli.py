@@ -140,6 +140,25 @@ def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "seed", ["1_0", "\u0663", " 7", "7 "],
+    ids=["underscore", "arabic-indic-3", "lead-space", "trail-space"],
+)
+def test_simulate_refuses_a_seed_outside_the_ascii_number_syntax(tmp_path, monkeypatch, capsys,
+                                                                    seed):
+    # int() alone would read 1_0 as 10 and the Arabic-Indic digit three as 3
+    monkeypatch.setenv("UTDD_SEED", seed)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "UTDD_SEED" in err
+    assert not out.exists()
+    monkeypatch.setenv("UTDD_SEED", "+7")
+    assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(out)]) == 0
+    assert "seed 7" in capsys.readouterr().out
+
+
 MINIMAL_CONFIG = {"start": "2020-08-01T00:00:00Z", "step_seconds": 3600, "n": 48}
 # exit 1 would claim drift, so input too large to hold or to parse exits 2
 PAST_MEMORY = {"start": "1970-01-01T00:00:00Z", "step_seconds": 1e-6, "n": 10**17}  # 711 PiB
@@ -346,6 +365,43 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(["detect", "--input", str(utf16_csv), *REF, *CUR,
                  "--report-out", str(tmp_path / "r.json")]) == 2
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-diff", "0_1"), ("--threshold", "1_0"), ("--epsilon", " 1"), ("--epsilon", "1e-3 "),
+     ("--max-diff", "\u0663"), ("--threshold", "\uff10.5")],
+    ids=["max-diff-underscore", "threshold-underscore", "epsilon-lead-space",
+         "epsilon-trail-space", "max-diff-arabic-indic", "threshold-fullwidth"],
+)
+def test_detect_refuses_numbers_outside_the_ascii_syntax(fixture_csv, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--input", str(fixture_csv), *REF, *CUR, flag, value,
+              "--report-out", str(out / "r.json")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_detect_accepts_ascii_numbers_in_every_spelling(fixture_csv, tmp_path):
+    report_out = tmp_path / "r.json"
+    code = main(["detect", "--input", str(fixture_csv), *REF, *CUR, "--threshold", ".5",
+                 "--epsilon", "1e-3", "--max-diff", "+7", "--report-out", str(report_out)])
+    assert code == 0
+    assert json.loads(report_out.read_text())["threshold"] == 0.5
+
+
+def test_detect_refuses_a_bad_holiday_date(fixture_csv, tmp_path, capsys):
+    report_out = tmp_path / "r.json"
+    code = main(["detect", "--input", str(fixture_csv), *REF, *CUR,
+                 "--holidays", "2020-08-10,2020-13-01", "--report-out", str(report_out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: --holidays:")
+    assert not report_out.exists()
 
 
 def test_report_mirrors_verdict(fixture_csv, tmp_path, capsys):

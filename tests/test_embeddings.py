@@ -89,6 +89,12 @@ def test_predict_embedding_empty_codes():
         predict_embedding(m, [0, 2])
 
 
+def test_predict_embedding_refuses_2d_codes():
+    m = fit_embedding([0, 1], [1.0, 2.0], FeatureSpec("is_weekend"))
+    with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+        predict_embedding(m, [[0, 1], [1, 0]])
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
 def test_fit_embedding_residual_means_vanish(seed):
@@ -173,6 +179,12 @@ def test_boosted_fit_degenerate_constant_series():
     model = boosted_fit(s, (DOW, HOD), k_diffs=0)
     assert model.stages == ()
     assert model.epsilon == 0.0
+
+
+def test_boosted_fit_refuses_a_negative_differencing_order():
+    # diff refuses it; boosted_fit keeps no check of its own
+    with pytest.raises(InvalidArgumentError, match="non-negative"):
+        boosted_fit(weeks(4, seed=7), (DOW, HOD), k_diffs=-1)
 
 
 def test_boosted_fit_validation():

@@ -288,6 +288,11 @@ def test_feature_spec_validation():
     assert FeatureSpec("is_holiday", holiday_dates=frozenset()).cardinality == 2
 
 
+def test_feature_spec_refuses_holidays_that_are_not_dates():
+    with pytest.raises(InvalidArgumentError, match="calendar dates"):
+        FeatureSpec("is_holiday", holiday_dates=frozenset(["2020-01-01"]))
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_feature_codes_match_datetime_library(offset_hours):
@@ -435,6 +440,33 @@ def test_timestamp_table_multicolumn(tmp_path):
     assert_array_equal(ts2, us)
     assert_array_equal(data[:, 0], a)
     assert_array_equal(data[:, 1], b)
+
+
+@pytest.mark.parametrize(
+    "columns, arrays, message",
+    [
+        (["a", "b"], [np.zeros(2)], "one array per named column"),
+        ([], [], "one array per named column"),
+        (["a"], [np.zeros(3)], "one value per timestamp"),
+    ],
+    ids=["fewer-arrays", "no-columns", "longer-column"],
+)
+def test_timestamp_table_writer_refuses_mismatched_columns(tmp_path, columns, arrays, message):
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidArgumentError, match=message):
+        write_timestamp_table(path, columns, np.array([0, 3_600_000_000]), arrays)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message", [("", "file is empty"), ("timestamp,value\n", "no data rows")]
+)
+def test_series_csv_without_rows_names_line(tmp_path, text, message):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=message) as err:
+        read_series_csv(path)
+    assert err.value.line == (1 if not text else 2)
 
 
 def test_timestamp_table_refuses_stamps_outside_the_datetime_range(tmp_path):

@@ -73,6 +73,24 @@ def test_sim_config_validation():
         base_cfg(sigma_eps=-1.0)
 
 
+def test_sim_config_keeps_the_grid_it_simulates():
+    # the step is the whole-microsecond step of the series, the start is UTC
+    cfg = sim_config_from_dict({**base_doc(), "step_seconds": 1 / 3, "n": 50})
+    assert cfg.step == simulate_series(cfg).step == 0.333333
+    naive = base_cfg(start=datetime(2020, 8, 1))
+    assert naive.start == T0 and naive.start.tzinfo is UTC
+    assert simulate_series(naive).start == naive.start
+    east = base_cfg(start=datetime(2020, 8, 1, 2, tzinfo=timezone(timedelta(hours=2))))
+    assert east.start == T0 and east.start.tzinfo is UTC
+
+
+def test_sim_config_refuses_holidays_that_are_not_dates():
+    cfg = base_cfg(holidays=[datetime(2020, 8, 3, 12, tzinfo=UTC), date(2020, 8, 4)])
+    assert cfg.holidays == frozenset([date(2020, 8, 3), date(2020, 8, 4)])
+    with pytest.raises(InvalidArgumentError, match="calendar dates"):
+        base_cfg(holidays=frozenset(["2020-08-03"]))
+
+
 def test_config_from_document_setting_every_key():
     doc = {
         "start": "2020-08-01T00:00:00Z",
