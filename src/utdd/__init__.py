@@ -25,7 +25,6 @@ from .embeddings import (
     boosted_predict,
     fit_embedding,
     load_model,
-    predict_embedding,
     save_model,
 )
 from .errors import CsvFormatError, DegenerateInputError, InvalidArgumentError, UtddError
@@ -46,7 +45,7 @@ from .simulate import (
     load_sim_config,
     simulate_series,
 )
-from .stationarity import AdfResult, NdiffsResult, OlsFit, adf_test, ndiffs, ols, schwert_lags
+from .stationarity import AdfResult, NdiffsResult, adf_test, ndiffs
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "FeatureSpec",
     "InvalidArgumentError",
     "NdiffsResult",
-    "OlsFit",
     "SeasonalComponentConfig",
     "SimConfig",
     "TimeSeries",
@@ -84,13 +82,10 @@ __all__ = [
     "load_report",
     "load_sim_config",
     "ndiffs",
-    "ols",
-    "predict_embedding",
     "read_series_csv",
     "run_utdd",
     "save_model",
     "save_report",
-    "schwert_lags",
     "simulate_series",
     "write_series_csv",
     "__version__",

@@ -45,18 +45,9 @@ from .series import (
     _NUMBER, FeatureSpec, TimeSeries, format_utc, parse_utc, read_series_csv, write_series_csv,
 )
 from .simulate import load_sim_config, simulate_series
-from .stationarity import ndiffs
+from .stationarity import DEFAULT_MAX_DIFF, ndiffs
 
 __all__ = ["main"]
-
-_MIN_WINDOW_POINTS = 30
-
-
-def _parse_when(text: str, flag: str):
-    try:
-        return parse_utc(text)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"{flag}: {exc}") from None
 
 
 def _number(convert):
@@ -92,12 +83,11 @@ def _parse_features(text: str, holidays: frozenset) -> tuple:
 
 
 def _window(series: TimeSeries, from_text: str, to_text: str, what: str) -> TimeSeries:
-    win = series.window(_parse_when(from_text, what), _parse_when(to_text, what))
-    if len(win) < _MIN_WINDOW_POINTS:
-        raise InvalidArgumentError(
-            f"{what} window has {len(win)} points; need at least {_MIN_WINDOW_POINTS}"
-        )
-    return win
+    try:
+        start_at, end_before = parse_utc(from_text), parse_utc(to_text)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{what}: {exc}") from None
+    return series.window(start_at, end_before)
 
 
 def _print_kv(pairs) -> None:
@@ -205,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     window_fit.add_argument("--input", required=True, help="input series CSV")
     window_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
     window_fit.add_argument("--epsilon", type=_FLOAT, help="stage termination threshold")
-    window_fit.add_argument("--max-diff", type=_INT, default=4, help="differencing cap (default 4)")
+    window_fit.add_argument("--max-diff", type=_INT, default=DEFAULT_MAX_DIFF,
+                            help="differencing cap (default %(default)s)")
 
     p_fit = sub.add_parser("fit", parents=[window_fit], help="fit a seasonal model on one window")
     p_fit.add_argument("--from", dest="window_from", required=True, metavar="ISO")

@@ -24,7 +24,7 @@ from .errors import DegenerateInputError, InvalidArgumentError
 from .jsondoc import json_object, json_version, write_json
 from .series import TimeSeries, diff, is_flat, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict
-from .stationarity import ndiffs
+from .stationarity import DEFAULT_MAX_DIFF, MIN_WINDOW_POINTS, ndiffs
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -35,7 +35,6 @@ __all__ = [
     "compute_zscore",
     "detect",
     "run_utdd",
-    "report_to_dict",
     "report_from_dict",
     "save_report",
     "load_report",
@@ -125,7 +124,7 @@ def run_utdd(
     features: Sequence,
     *,
     epsilon: Optional[float] = None,
-    max_diff: int = 4,
+    max_diff: int = DEFAULT_MAX_DIFF,
     threshold: float = DEFAULT_THRESHOLD,
     reuse_model: bool = False,
 ) -> UtddResult:
@@ -136,13 +135,19 @@ def run_utdd(
     default each window gets its own boosted fit; with ``reuse_model`` the
     reference model also deseasonalizes the current window, which is the more
     conventional drift-detection design.  Windows with different steps are
-    refused with :class:`InvalidArgumentError`.  A window whose residual has
-    no variance raises :class:`DegenerateInputError` from :func:`compute_zscore`.
+    refused with :class:`InvalidArgumentError`, and so is a window of fewer
+    than ``MIN_WINDOW_POINTS`` (30) points.  A window whose residual has no
+    variance raises :class:`DegenerateInputError` from :func:`compute_zscore`.
     """
     if reference.step != current.step:
         raise InvalidArgumentError(
             f"windows have different steps: {reference.step!r} s and {current.step!r} s"
         )
+    for name, window in (("reference", reference), ("current", current)):
+        if len(window) < MIN_WINDOW_POINTS:
+            raise InvalidArgumentError(
+                f"{name} window has {len(window)} points; need at least {MIN_WINDOW_POINTS}"
+            )
     k = ndiffs(reference, max_diff=max_diff).k
 
     model_ref = boosted_fit(reference, features, epsilon=epsilon, k_diffs=k)
@@ -172,23 +177,18 @@ def run_utdd(
     )
 
 
-def report_to_dict(report: DriftReport) -> dict:
-    """The stored form of a report: its format version, then every field."""
-    return {"version": REPORT_FORMAT_VERSION, **asdict(report)}
-
-
 # Postponed annotations keep each field's type as text: the json_scalar kind.
 _REPORT = {field.name: field.type for field in fields(DriftReport)}
 
 
 def report_from_dict(doc) -> DriftReport:
-    """Rebuild a report from :func:`report_to_dict` output, refusing anything else."""
+    """Rebuild a report from :func:`save_report`'s document, refusing anything else."""
     body = json_version(doc, REPORT_FORMAT_VERSION, "utdd detect")
     return DriftReport(**json_object(body, _REPORT, _REPORT))
 
 
 def save_report(report: DriftReport, path) -> None:
-    write_json(path, report_to_dict(report))
+    write_json(path, {"version": REPORT_FORMAT_VERSION, **asdict(report)})
 
 
 def load_report(path) -> DriftReport:

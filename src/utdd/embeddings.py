@@ -26,7 +26,6 @@ __all__ = [
     "EmbeddingModel",
     "BoostedModel",
     "fit_embedding",
-    "predict_embedding",
     "boosted_fit",
     "boosted_predict",
     "DEFAULT_FEATURE_ORDER",
@@ -123,17 +122,6 @@ def fit_embedding(
     )
 
 
-def predict_embedding(model: EmbeddingModel, codes: Sequence[int]) -> np.ndarray:
-    """Table lookup per code; categories unseen in training get the training mean."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.ndim != 1:
-        raise InvalidArgumentError("codes must be one-dimensional")
-    card = model.feature.cardinality
-    if codes.size and (codes.min() < 0 or codes.max() >= card):
-        raise InvalidArgumentError(f"codes must lie in [0, {card})")
-    return model.lookup[codes]
-
-
 def boosted_fit(
     series: TimeSeries,
     features: Sequence[FeatureSpec],
@@ -176,7 +164,7 @@ def boosted_fit(
     for spec in features:
         codes = extract_feature(work, spec)
         stage = fit_embedding(codes, residual, spec)
-        contribution = predict_embedding(stage, codes)
+        contribution = stage.lookup[codes]
         if float(np.sqrt(np.mean(contribution**2))) < eps:
             break
         stages.append(stage)
@@ -188,8 +176,8 @@ def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
     """Sum of stage predictions over any time grid (the fitted seasonal component)."""
     out = np.zeros(len(series_grid), dtype=np.float64)
     for stage in model.stages:
-        codes = extract_feature(series_grid, stage.feature)
-        out += predict_embedding(stage, codes)
+        # extract_feature's codes lie below the cardinality, the length of every lookup
+        out += stage.lookup[extract_feature(series_grid, stage.feature)]
     return out
 
 

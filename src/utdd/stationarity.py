@@ -24,33 +24,27 @@ from .series import TimeSeries, is_flat
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
-    "OlsFit",
-    "ols",
+    "DEFAULT_MAX_DIFF",
+    "MIN_WINDOW_POINTS",
     "AdfResult",
     "NdiffsResult",
     "adf_test",
     "ndiffs",
-    "schwert_lags",
 ]
 
 # Asymptotic 5% point of the Dickey-Fuller distribution, constant-only case.
 ADF_CRITICAL_5PCT = -2.86
 
-
-@dataclass(frozen=True)
-class OlsFit:
-    """Coefficients and their standard errors from a least-squares fit."""
-
-    coef: np.ndarray
-    stderr: np.ndarray
+DEFAULT_MAX_DIFF = 4  # highest differencing order ndiffs tries unless told otherwise
+MIN_WINDOW_POINTS = 30  # fewest points ndiffs and run_utdd take in a window
 
 
-def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
+def ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordinary least squares from the R factor of ``[X | y]``; Q is never formed.
 
     Its last column holds ``Q'y`` and its corner ``|R[k, k]|`` is the residual
     norm (Golub & Van Loan, *Matrix Computations*, 5.3), so one R-only QR gives
-    the coefficients and ``stderr = |R[k, k]| sqrt(rowsumsq(R^-1) / (n - k))``.
+    the pair ``(coef, stderr)``, ``stderr = |R[k, k]| sqrt(rowsumsq(R^-1) / (n - k))``.
     QR is used instead of the normal equations because near-unit-root designs are
     ill-conditioned.  Raises :class:`DegenerateInputError` when the design
     matrix is rank-deficient and :class:`InvalidArgumentError` when there are
@@ -72,12 +66,7 @@ def ols(design: np.ndarray, target: np.ndarray) -> OlsFit:
     r_inv = np.linalg.inv(r)
     # diag of (X'X)^-1 = diag of R^-1 R^-T; R[k, k] stays unsquared, so it cannot overflow
     stderr = abs(ry[k, k]) * np.sqrt((r_inv * r_inv).sum(axis=1) / (n - k))
-    return OlsFit(coef=coef, stderr=stderr)
-
-
-def schwert_lags(n: int) -> int:
-    """Schwert's rule of thumb for the ADF lag order: floor(12 * (n/100)^0.25)."""
-    return int(12.0 * (n / 100.0) ** 0.25)
+    return coef, stderr
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,13 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
         The data to test.
     lags : int, optional
         Number of lagged differences L.  Defaults to Schwert's rule
-        ``floor(12 * (n/100)^0.25)``.
+        ``floor(12 * (n/100)^0.25)``: 8 lags at n = 25, 12 at 100, 17 at 500.
 
     Returns
     -------
     AdfResult
-        The t-ratio of the lagged-level coefficient, the lag order used, the
-        5% critical value and the stationarity verdict.
+        The t-ratio, the lag order L used (``lags_used``), the 5% critical
+        value and the stationarity verdict.
 
     Raises
     ------
@@ -135,7 +124,7 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
     if x.ndim != 1:
         raise InvalidArgumentError("series must be one-dimensional")
     n = x.size
-    L = schwert_lags(n) if lags is None else int(lags)
+    L = int(12.0 * (n / 100.0) ** 0.25) if lags is None else int(lags)  # Schwert's rule
     if L < 0:
         raise InvalidArgumentError("lags must be non-negative")
     nobs = n - 1 - L
@@ -147,13 +136,13 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
         )
     # one row per observation t = L+1 .. n-1 (0-based): dx_t, dx_{t-1}, ..., dx_{t-L}
     lagged = sliding_window_view(np.diff(x), L + 1)[:, ::-1]
-    fit = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:]]), lagged[:, 0])
-    statistic = float(fit.coef[1] / fit.stderr[1])
+    coef, stderr = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:]]), lagged[:, 0])
+    statistic = float(coef[1] / stderr[1])
     return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,
                      stationary=statistic < ADF_CRITICAL_5PCT)
 
 
-def ndiffs(series: TimeSeries, max_diff: int = 4) -> NdiffsResult:
+def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult:
     """Smallest k <= max_diff such that the k-times differenced series is stationary.
 
     Before each ADF test, a candidate whose population standard deviation is
@@ -164,8 +153,10 @@ def ndiffs(series: TimeSeries, max_diff: int = 4) -> NdiffsResult:
     constant) counts as non-stationary and the search moves on.  If no level
     passes, ``k = max_diff`` is returned with the full trail.
     """
-    if len(series) < 30:
-        raise InvalidArgumentError("ndiffs needs a series of at least 30 points")
+    if len(series) < MIN_WINDOW_POINTS:
+        raise InvalidArgumentError(
+            f"series has {len(series)} points; need at least {MIN_WINDOW_POINTS}"
+        )
     max_diff = int(max_diff)
     if max_diff < 0:
         raise InvalidArgumentError("max_diff must be non-negative")

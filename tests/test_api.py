@@ -5,21 +5,29 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 import utdd
+from utdd.stationarity import ols
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # Names that duplicated other code and were removed; each has a replacement.
 REMOVED = {
     "utdd": ("utdd", "training_residual",  # run_utdd(...).report; WindowFit.residual
-             "ResidualStats", "residual_stats"),  # compute_zscore reads the residual itself
-    "utdd.drift": ("utdd",),
-    "utdd.embeddings": ("training_residual", "_stage_spec"),
+             "ResidualStats", "residual_stats",  # compute_zscore reads the residual itself
+             "ols", "OlsFit",  # utdd.stationarity.ols returns (coef, stderr)
+             "schwert_lags",  # adf_test(...).lags_used
+             "predict_embedding"),  # EmbeddingModel.lookup[codes]
+    "utdd.drift": ("utdd", "report_to_dict"),  # save_report
+    "utdd.embeddings": ("training_residual", "_stage_spec", "predict_embedding"),
+    "utdd.stationarity": ("OlsFit", "schwert_lags"),
     "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
                     "ResidualStats", "residual_stats"),
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
@@ -52,9 +60,20 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__
 
 
+def test_readme_lists_exactly_the_exported_names():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("The package exports exactly these pieces:"):]
+    section = section[: section.index("\n\n", section.index("\n- "))]
+    assert set(re.findall(r"`(\w+)`", section)) == set(utdd.__all__)
+
+
 def test_ols_fit_holds_coefficients_and_standard_errors_only():
     # the residual norm is read from the R factor; no residual vector is formed
-    assert [f.name for f in fields(utdd.OlsFit)] == ["coef", "stderr"]
+    x = np.column_stack([np.ones(4), np.arange(4.0)])
+    fit = ols(x, np.array([1.0, 2.0, 3.0, 5.0]))
+    assert type(fit) is tuple and len(fit) == 2
+    assert all(type(part) is np.ndarray and part.shape == (2,) for part in fit)
+    assert "ols" not in utdd.stationarity.__all__
 
 
 def test_every_bench_probe_resolves():

@@ -267,10 +267,11 @@ def test_fit_errors(fixture_csv, tmp_path, capsys):
                  "--from", "2020-08-01T00:00:00Z", "--to", "2020-10-01T00:00:00Z",
                  "--features", "day_of_week", "--model-out", str(tmp_path / "m.json")]) == 2
     # window too small
+    capsys.readouterr()
     assert main(["fit", "--input", str(fixture_csv), "--from", "2020-08-01T00:00:00Z",
                  "--to", "2020-08-01T10:00:00Z", "--features", "day_of_week",
                  "--model-out", str(tmp_path / "m.json")]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: series has 10 points; need at least 30\n"
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +338,10 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(base + ["--ref-from", "2020-10-01T00:00:00Z", "--ref-to", "2020-08-01T00:00:00Z",
                         *CUR]) == 2
     # window too short
+    capsys.readouterr()
     assert main(base + ["--ref-from", "2020-08-01T00:00:00Z", "--ref-to", "2020-08-01T05:00:00Z",
                         *CUR]) == 2
+    assert capsys.readouterr().err == "error: reference window has 5 points; need at least 30\n"
     # window entirely outside the data
     assert main(base + ["--ref-from", "2021-01-01T00:00:00Z", "--ref-to", "2021-02-01T00:00:00Z",
                         *CUR]) == 2

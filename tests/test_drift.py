@@ -204,6 +204,21 @@ def test_run_utdd_refuses_windows_with_different_steps(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("reuse_model", [False, True], ids=["own-model", "reuse-model"])
+@pytest.mark.parametrize("which, n", [("current", 2), ("current", 29), ("reference", 29)])
+def test_run_utdd_refuses_a_window_under_30_points(monkeypatch, which, n, reuse_model):
+    # z of two points is always 1: scored, such a window would read as drift whatever its data
+    values = two_month_series(seed=8).values
+    size = {"reference": 200, "current": 200, which: n}
+    ref = TimeSeries(T0, 3600.0, values[: size["reference"]])
+    cur = TimeSeries(T0 + timedelta(hours=200), 3600.0, values[200 : 200 + size["current"]])
+    calls = []
+    monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidArgumentError, match=f"^{which} window has {n} points; need at least 30$"):
+        run_utdd(ref, cur, (FeatureSpec("is_weekend"),), reuse_model=reuse_model)
+    assert calls == []
+
+
 def test_run_utdd_compares_steps_on_the_microsecond_grid():
     # 0.1 * 3 is 0.30000000000000004 s: both windows step 300,000 microseconds
     values = two_month_series(seed=7).values

@@ -21,7 +21,6 @@ from utdd import (
     extract_feature,
     fit_embedding,
     load_model,
-    predict_embedding,
     save_model,
 )
 from utdd.embeddings import MODEL_FORMAT_VERSION, model_from_dict, model_to_dict
@@ -64,7 +63,7 @@ def test_fit_embedding_unseen_category_falls_back_to_global_mean():
     spec = FeatureSpec("day_of_week")
     m = fit_embedding([0, 0, 1], [2.0, 4.0, 9.0], spec)
     assert m.lookup.tolist() == [3.0, 9.0, 5.0, 5.0, 5.0, 5.0, 5.0]
-    assert_array_equal(predict_embedding(m, [0, 1, 2]), [3.0, 9.0, 5.0])
+    assert_array_equal(m.lookup[[0, 1, 2]], [3.0, 9.0, 5.0])
     with pytest.raises(ValueError):
         m.lookup[2] = 0.0  # read-only
 
@@ -81,20 +80,6 @@ def test_fit_embedding_validation():
         fit_embedding([0, -1], [1.0, 2.0], spec)
 
 
-def test_predict_embedding_empty_codes():
-    spec = FeatureSpec("is_weekend")
-    m = fit_embedding([0, 1], [1.0, 2.0], spec)
-    assert predict_embedding(m, []).shape == (0,)
-    with pytest.raises(InvalidArgumentError):
-        predict_embedding(m, [0, 2])
-
-
-def test_predict_embedding_refuses_2d_codes():
-    m = fit_embedding([0, 1], [1.0, 2.0], FeatureSpec("is_weekend"))
-    with pytest.raises(InvalidArgumentError, match="one-dimensional"):
-        predict_embedding(m, [[0, 1], [1, 0]])
-
-
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=25, deadline=None)
 def test_fit_embedding_residual_means_vanish(seed):
@@ -105,7 +90,7 @@ def test_fit_embedding_residual_means_vanish(seed):
     target = rng.normal(0, 3, n)
     spec = FeatureSpec("day_of_week")
     m = fit_embedding(codes, target, spec)
-    resid = target - predict_embedding(m, codes)
+    resid = target - m.lookup[codes]
     for c in np.unique(codes):
         assert abs(resid[codes == c].mean()) < 1e-12
 
@@ -243,9 +228,7 @@ def test_model_v3_stores_dense_lookups_and_refuses_v1():
     assert doc["stages"][0]["lookup"] == model.stages[0].lookup.tolist()
     back = model_from_dict(json.loads(json.dumps(doc)))
     codes = extract_feature(s, DOW)
-    assert_array_equal(
-        predict_embedding(back.stages[0], codes), predict_embedding(model.stages[0], codes)
-    )
+    assert_array_equal(back.stages[0].lookup[codes], model.stages[0].lookup[codes])
     # a version 1 document: codes-to-means dict per stage, cardinality per feature
     stage = doc["stages"][0]
     v1 = {
