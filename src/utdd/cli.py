@@ -17,11 +17,17 @@ error.  ``detect`` writes, next to the report, a seasonal-fit CSV
 (``timestamp,observed,seasonal,residual``) and a residual CSV per window.
 The ``UTDD_SEED`` environment variable overrides the simulation config's
 seed for CI determinism.
+
+Each process imports only what its command runs: the module level holds the
+standard library and the stdlib-only :mod:`utdd.verdict`, so ``report``,
+``--help`` and usage errors start without numpy, ``simulate`` loads no
+pipeline module and ``detect`` no simulator.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -30,24 +36,41 @@ from dataclasses import asdict, replace
 from datetime import date
 from typing import Optional, Sequence
 
-from .drift import (
-    DEFAULT_THRESHOLD,
-    DriftReport,
-    load_report,
-    run_utdd,
-    save_report,
-    write_fit_csv,
-    write_residual_csv,
-)
-from .embeddings import DEFAULT_FEATURE_ORDER, boosted_fit, save_model
 from .errors import InvalidArgumentError, UtddError
-from .series import (
-    _NUMBER, FeatureSpec, TimeSeries, format_utc, parse_utc, read_series_csv, write_series_csv,
+from .jsondoc import _NUMBER
+from .verdict import (
+    DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, load_report,
+    save_report,
 )
-from .simulate import load_sim_config, simulate_series
-from .stationarity import DEFAULT_MAX_DIFF, ndiffs
 
 __all__ = ["main"]
+
+# The numpy-backed names the commands call, by the module that defines them.  A
+# command binds the names of the modules it needs with _load and calls them as
+# module globals; attribute access from outside binds them through __getattr__.
+_DEFERRED = {
+    "series": ("FeatureSpec", "format_utc", "parse_utc", "read_series_csv", "write_series_csv"),
+    "simulate": ("load_sim_config", "simulate_series"),
+    "stationarity": ("ndiffs",),
+    "embeddings": ("boosted_fit", "save_model"),
+    "drift": ("run_utdd", "write_fit_csv", "write_residual_csv"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the deferred names of ``modules``; a name already bound (a probe, say) is kept."""
+    for module in modules:
+        imported = importlib.import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _number(convert):
@@ -107,6 +130,7 @@ def _print_verdict(report: DriftReport) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _load("series", "simulate")
     cfg = load_sim_config(args.config)
     env_seed = os.environ.get("UTDD_SEED")
     if env_seed:
@@ -125,6 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    _load("series", "stationarity", "embeddings")
     series = read_series_csv(args.input)
     window = _window(series, args.window_from, args.window_to, "--from/--to")
     features = _parse_features(args.features, _parse_holidays(args.holidays))
@@ -147,6 +172,7 @@ def _sibling(report_out: str, suffix: str) -> str:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    _load("series", "drift")
     series = read_series_csv(args.input)
     reference = _window(series, args.ref_from, args.ref_to, "--ref-from/--ref-to")
     current = _window(series, args.cur_from, args.cur_to, "--cur-from/--cur-to")

@@ -13,63 +13,25 @@ without touching the pipeline.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .jsondoc import json_object, json_version, write_json
 from .series import TimeSeries, diff, is_flat, write_timestamp_table
-from .embeddings import BoostedModel, boosted_fit, boosted_predict
-from .stationarity import DEFAULT_MAX_DIFF, MIN_WINDOW_POINTS, ndiffs
+from .embeddings import BoostedModel, boosted_fit, boosted_predict, check_epsilon
+from .stationarity import MIN_WINDOW_POINTS, ndiffs
+from .verdict import DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, check_threshold, detect
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "REPORT_FORMAT_VERSION",
-    "DriftReport",
     "WindowFit",
     "UtddResult",
     "compute_zscore",
-    "detect",
     "run_utdd",
-    "report_from_dict",
-    "save_report",
-    "load_report",
     "write_residual_csv",
     "write_fit_csv",
 ]
-
-# Smallest round value below the delta this detector is meant to flag.
-DEFAULT_THRESHOLD = 0.1
-
-REPORT_FORMAT_VERSION = 2
-
-@dataclass(frozen=True)
-class DriftReport:
-    """The differencing order, both window statistics and the verdict.
-
-    ``delta`` is exactly ``|z_curr - z_ref|`` and ``drifted`` is true exactly
-    when ``delta >= threshold``.  The field order is the order in which the
-    report is stored and printed.
-    """
-
-    k_diffs: int
-    z_ref: float
-    z_curr: float
-    delta: float
-    threshold: float
-    drifted: bool
-
-    def __post_init__(self) -> None:
-        if type(self.k_diffs) is not int or self.k_diffs < 0:
-            raise InvalidArgumentError("k_diffs must be a non-negative integer")
-        if self.delta != abs(self.z_curr - self.z_ref):
-            raise InvalidArgumentError("delta must equal |z_curr - z_ref|")
-        if self.drifted != detect(self.z_ref, self.z_curr, self.threshold):
-            raise InvalidArgumentError("drifted must equal delta >= threshold")
 
 
 @dataclass(frozen=True)
@@ -111,13 +73,6 @@ def compute_zscore(residual: Sequence[float]) -> float:
     return float(np.abs(r - r.mean()).mean() / r.std())
 
 
-def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
-    """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive and finite)."""
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise InvalidArgumentError("threshold must be positive and finite")
-    return abs(z_curr - z_ref) >= threshold
-
-
 def run_utdd(
     reference: TimeSeries,
     current: TimeSeries,
@@ -135,9 +90,11 @@ def run_utdd(
     default each window gets its own boosted fit; with ``reuse_model`` the
     reference model also deseasonalizes the current window, which is the more
     conventional drift-detection design.  Windows with different steps are
-    refused with :class:`InvalidArgumentError`, and so is a window of fewer
-    than ``MIN_WINDOW_POINTS`` (30) points.  A window whose residual has no
-    variance raises :class:`DegenerateInputError` from :func:`compute_zscore`.
+    refused with :class:`InvalidArgumentError`, and so are a window of fewer
+    than ``MIN_WINDOW_POINTS`` (30) points, a threshold that is not positive
+    and finite and an epsilon that is not positive, all before any fitting.  A
+    window whose residual has no variance raises :class:`DegenerateInputError`
+    from :func:`compute_zscore`.
     """
     if reference.step != current.step:
         raise InvalidArgumentError(
@@ -148,6 +105,8 @@ def run_utdd(
             raise InvalidArgumentError(
                 f"{name} window has {len(window)} points; need at least {MIN_WINDOW_POINTS}"
             )
+    check_threshold(threshold)
+    check_epsilon(epsilon)
     k = ndiffs(reference, max_diff=max_diff).k
 
     model_ref = boosted_fit(reference, features, epsilon=epsilon, k_diffs=k)
@@ -175,25 +134,6 @@ def run_utdd(
         reference=WindowFit(grid_ref, seasonal_ref, residual_ref, model_ref),
         current=WindowFit(grid_cur, seasonal_cur, residual_cur, model_cur),
     )
-
-
-# Postponed annotations keep each field's type as text: the json_scalar kind.
-_REPORT = {field.name: field.type for field in fields(DriftReport)}
-
-
-def report_from_dict(doc) -> DriftReport:
-    """Rebuild a report from :func:`save_report`'s document, refusing anything else."""
-    body = json_version(doc, REPORT_FORMAT_VERSION, "utdd detect")
-    return DriftReport(**json_object(body, _REPORT, _REPORT))
-
-
-def save_report(report: DriftReport, path) -> None:
-    write_json(path, {"version": REPORT_FORMAT_VERSION, **asdict(report)})
-
-
-def load_report(path) -> DriftReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
 
 
 def write_residual_csv(fit: WindowFit, path) -> None:

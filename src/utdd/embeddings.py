@@ -28,16 +28,12 @@ __all__ = [
     "fit_embedding",
     "boosted_fit",
     "boosted_predict",
-    "DEFAULT_FEATURE_ORDER",
     "MODEL_FORMAT_VERSION",
     "model_to_dict",
     "model_from_dict",
     "save_model",
     "load_model",
 ]
-
-# Coarse-to-fine calendar structure.
-DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
 
 MODEL_FORMAT_VERSION = 3
 
@@ -122,6 +118,12 @@ def fit_embedding(
     )
 
 
+def check_epsilon(epsilon: Optional[float]) -> None:
+    """Refuse an epsilon other than None that is not positive with :class:`InvalidArgumentError`."""
+    if epsilon is not None and not epsilon > 0:
+        raise InvalidArgumentError("epsilon must be positive")
+
+
 def boosted_fit(
     series: TimeSeries,
     features: Sequence[FeatureSpec],
@@ -142,8 +144,7 @@ def boosted_fit(
     features = list(features)
     if not features:
         raise InvalidArgumentError("need at least one candidate feature")
-    if epsilon is not None and not epsilon > 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    check_epsilon(epsilon)
     k_diffs = int(k_diffs)
     max_card = max(spec.cardinality for spec in features)
     if len(series) - k_diffs < 2 * max_card:

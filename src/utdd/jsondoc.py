@@ -5,7 +5,9 @@ Each document is read through a table from key to reader.  A reader is a
 :func:`json_object` or :func:`json_array`.  Every fault raises
 :class:`InvalidArgumentError` naming its path from the root, such as
 ``stages[1].lookup[3]``.  An absent optional key is left out of the result,
-so defaults live only in the dataclasses built from it.  Standard library only.
+so defaults live only in the dataclasses built from it.  The module also
+holds the ASCII number syntax that the CSV readers and the command line share.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ import sys
 from .errors import InvalidArgumentError
 
 __all__ = ["json_scalar", "json_object", "json_array", "json_version", "write_json"]
+
+# The number texts the CSV readers and the command line accept: ASCII digits in
+# decimal or exponent notation, or a spelling of infinity or NaN that is then
+# refused as non-finite.  float() alone would also take `1_0`, ` 2` and non-ASCII digits.
+_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
 
 # JSON types accepted per kind, compared exactly: a bool is an int to Python.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "string": (str,)}

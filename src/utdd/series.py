@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CsvFormatError, InvalidArgumentError
+from .jsondoc import _NUMBER
 
 __all__ = [
     "TimeSeries",
@@ -326,10 +327,7 @@ def write_timestamp_table(
         fh.write(text)
 
 
-# The value texts both readers accept, one per line: ASCII digits in decimal or
-# exponent notation, or a spelling of infinity or NaN that is then refused as
-# non-finite.  float() alone would also take `1_0`, ` 2` and non-ASCII digits.
-_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+# The value texts both readers accept, one per line.
 _NUMBERS = re.compile(rf"(?:{_NUMBER}\n)*{_NUMBER}")
 
 

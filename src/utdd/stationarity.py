@@ -21,10 +21,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, is_flat
+from .verdict import DEFAULT_MAX_DIFF
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
-    "DEFAULT_MAX_DIFF",
     "MIN_WINDOW_POINTS",
     "AdfResult",
     "NdiffsResult",
@@ -35,7 +35,6 @@ __all__ = [
 # Asymptotic 5% point of the Dickey-Fuller distribution, constant-only case.
 ADF_CRITICAL_5PCT = -2.86
 
-DEFAULT_MAX_DIFF = 4  # highest differencing order ndiffs tries unless told otherwise
 MIN_WINDOW_POINTS = 30  # fewest points ndiffs and run_utdd take in a window
 
 

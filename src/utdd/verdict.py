@@ -1,0 +1,87 @@
+"""The drift verdict and its stored report.  Standard library only.
+
+A report holds the differencing order, both window statistics and the
+verdict ``|z_curr - z_ref| >= threshold``.  This module also holds the
+defaults the command line shows before any command runs, so that
+``utdd report``, ``--help`` and usage errors start without numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import asdict, dataclass, fields
+
+from .errors import InvalidArgumentError
+from .jsondoc import json_object, json_version, write_json
+
+__all__ = [
+    "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD", "REPORT_FORMAT_VERSION",
+    "DriftReport", "check_threshold", "detect", "report_from_dict", "save_report", "load_report",
+]
+
+# Coarse-to-fine calendar structure.
+DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
+
+DEFAULT_MAX_DIFF = 4  # highest differencing order ndiffs tries unless told otherwise
+
+# Smallest round value below the delta this detector is meant to flag.
+DEFAULT_THRESHOLD = 0.1
+
+REPORT_FORMAT_VERSION = 2
+
+
+def check_threshold(threshold: float) -> None:
+    """Refuse a threshold that is not positive and finite with :class:`InvalidArgumentError`."""
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidArgumentError("threshold must be positive and finite")
+
+
+def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
+    """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive and finite)."""
+    check_threshold(threshold)
+    return abs(z_curr - z_ref) >= threshold
+
+
+@dataclass(frozen=True)
+class DriftReport:
+    """The differencing order, both window statistics and the verdict.
+
+    ``delta`` is exactly ``|z_curr - z_ref|`` and ``drifted`` is true exactly
+    when ``delta >= threshold``.  The field order is the order in which the
+    report is stored and printed.
+    """
+
+    k_diffs: int
+    z_ref: float
+    z_curr: float
+    delta: float
+    threshold: float
+    drifted: bool
+
+    def __post_init__(self) -> None:
+        if type(self.k_diffs) is not int or self.k_diffs < 0:
+            raise InvalidArgumentError("k_diffs must be a non-negative integer")
+        if self.delta != abs(self.z_curr - self.z_ref):
+            raise InvalidArgumentError("delta must equal |z_curr - z_ref|")
+        if self.drifted != detect(self.z_ref, self.z_curr, self.threshold):
+            raise InvalidArgumentError("drifted must equal delta >= threshold")
+
+
+# Postponed annotations keep each field's type as text: the json_scalar kind.
+_REPORT = {field.name: field.type for field in fields(DriftReport)}
+
+
+def report_from_dict(doc) -> DriftReport:
+    """Rebuild a report from :func:`save_report`'s document, refusing anything else."""
+    body = json_version(doc, REPORT_FORMAT_VERSION, "utdd detect")
+    return DriftReport(**json_object(body, _REPORT, _REPORT))
+
+
+def save_report(report: DriftReport, path) -> None:
+    write_json(path, {"version": REPORT_FORMAT_VERSION, **asdict(report)})
+
+
+def load_report(path) -> DriftReport:
+    with open(path, "r", encoding="utf-8") as fh:
+        return report_from_dict(json.load(fh))

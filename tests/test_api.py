@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import re
 import subprocess
@@ -12,6 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import utdd
 from utdd.stationarity import ols
@@ -100,16 +102,39 @@ def test_traced_bench_smoke_run_is_correct(tmp_path):
 
 
 def test_jsondoc_imports_only_the_standard_library_and_errors():
-    tree = ast.parse((ROOT / "src" / "utdd" / "jsondoc.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                assert node.module == "errors", ast.unparse(node)
+    # so do verdict and the module level of cli: report, --help and usage errors need no numpy;
+    # each may import errors and the modules checked before it
+    allowed = ["errors"]
+    for name in ("jsondoc", "verdict", "cli"):
+        tree = ast.parse((ROOT / "src" / "utdd" / f"{name}.py").read_text())
+        for node in tree.body if name == "cli" else ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    assert node.module in allowed, (name, ast.unparse(node))
+                    continue
+                names = [node.module]
+            else:
                 continue
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
+            for module in names:
+                assert module.split(".")[0] in sys.stdlib_module_names, (name, ast.unparse(node))
+        allowed.append(name)
+
+
+def test_package_namespace_is_exactly_all():
+    namespace = {}
+    exec("from utdd import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(utdd.__all__)
+    # a fresh process has resolved no export yet, so dir() must list them itself
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, utdd; print(json.dumps(dir(utdd)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert set(utdd.__all__) <= set(json.loads(done.stdout))
+    for module_name, removed in REMOVED.items():
+        module = importlib.import_module(module_name)
+        for name in removed:
+            with pytest.raises(AttributeError):
+                getattr(module, name)

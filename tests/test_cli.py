@@ -28,6 +28,12 @@ def fixture_csv(tmp_path_factory):
     return out
 
 
+def child_env():
+    """The environment for a ``python -m utdd`` child process that imports this package."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(utdd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")])}
+
+
 def utf16(text):
     """``text`` as UTF-16 with a little-endian byte-order mark (starts ``\\xff\\xfe``)."""
     return b"\xff\xfe" + text.encode("utf-16-le")
@@ -464,8 +470,7 @@ def test_report_errors(tmp_path, capsys):
 
 def test_every_command_names_its_text_encoding(tmp_path):
     # EncodingWarning marks an open() that would follow the locale, not UTF-8
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(utdd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH", "")])}
+    env = child_env()
     csv, report, model = (str(tmp_path / name) for name in ("s.csv", "r.json", "m.json"))
     runs = [
         (["simulate", "--config", FIXTURE_CONFIG, "--out", csv], 0),
@@ -481,6 +486,48 @@ def test_every_command_names_its_text_encoding(tmp_path):
             capture_output=True, text=True, env=env, cwd=tmp_path,
         )
         assert (done.returncode, done.stderr) == (code, ""), argv
+
+
+# Appended to code that sets ``code``: prints it and the loaded modules among numpy
+# and the utdd submodules.
+_LOADED = """
+import json, sys
+modules = sorted(name for name in sys.modules if name == "numpy" or name.startswith("utdd."))
+print(json.dumps([code, modules]))
+"""
+_RUN_UTDD = """
+import runpy
+try:
+    runpy.run_module("utdd", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+"""
+
+
+def loaded_modules(cwd, *argv):
+    """The exit code of a fresh ``python -m utdd ARGV...`` process and the modules it loaded;
+    with no ARGV, code None and the modules ``import utdd`` loads."""
+    run = _RUN_UTDD if argv else "import utdd\ncode = None"
+    done = subprocess.run([sys.executable, "-c", run + _LOADED, *argv],
+                          capture_output=True, text=True, env=child_env(), cwd=cwd)
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_each_command_imports_only_what_it_runs(fixture_csv, tmp_path):
+    # one process per command: report, --help and usage errors start without numpy
+    code, detected = loaded_modules(tmp_path, "detect", "--input", str(fixture_csv), *REF, *CUR,
+                                    "--report-out", "r.json")
+    assert code == 1 and "utdd.drift" in detected and "utdd.simulate" not in detected
+    code, simulated = loaded_modules(tmp_path, "simulate", "--config", FIXTURE_CONFIG,
+                                     "--out", "s.csv")
+    assert code == 0 and {"numpy", "utdd.simulate"} <= simulated
+    assert not simulated & {"utdd.drift", "utdd.stationarity", "utdd.embeddings"}
+    for argv, expected in [((), None), (("report", "--report", "r.json"), 1), (("--help",), 0),
+                           (("detect", "--help"), 0), (("detect", "--input", "s.csv"), 2),
+                           (("--report", "r.json"), 2)]:
+        code, modules = loaded_modules(tmp_path, *argv)
+        assert code == expected and "numpy" not in modules, (argv, modules)
 
 
 def test_cli_requires_a_subcommand(capsys):

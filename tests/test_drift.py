@@ -32,14 +32,9 @@ from utdd import (
     save_report,
     simulate_series,
 )
-from utdd.drift import (
-    DEFAULT_THRESHOLD,
-    REPORT_FORMAT_VERSION,
-    report_from_dict,
-    write_fit_csv,
-    write_residual_csv,
-)
+from utdd.drift import write_fit_csv, write_residual_csv
 from utdd.series import read_timestamp_table
+from utdd.verdict import DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
@@ -201,6 +196,27 @@ def test_run_utdd_refuses_windows_with_different_steps(monkeypatch):
     for a, b in ((ref, cur), (cur, ref)):
         with pytest.raises(InvalidArgumentError, match="different steps: .* and .*"):
             run_utdd(a, b, FEATS)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [({"threshold": 0.0}, "threshold must be positive and finite"),
+     ({"threshold": -0.1}, "threshold must be positive and finite"),
+     ({"threshold": float("nan")}, "threshold must be positive and finite"),
+     ({"threshold": float("inf")}, "threshold must be positive and finite"),
+     ({"epsilon": -1.0}, "epsilon must be positive"),
+     ({"epsilon": 0.0}, "epsilon must be positive"),
+     ({"epsilon": float("nan")}, "epsilon must be positive")],
+    ids=["threshold-0", "threshold-negative", "threshold-nan", "threshold-inf",
+         "epsilon-negative", "epsilon-0", "epsilon-nan"],
+)
+def test_run_utdd_refuses_a_bad_threshold_or_epsilon_before_fitting(monkeypatch, option, message):
+    s = two_month_series(seed=7)
+    calls = []
+    monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS, **option)
     assert calls == []
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from utdd import FeatureSpec, InvalidArgumentError, TimeSeries, boosted_fit
 from utdd.cli import main
-from utdd.drift import report_from_dict
 from utdd.embeddings import model_from_dict, model_to_dict
 from utdd.jsondoc import json_scalar
 from utdd.simulate import sim_config_from_dict
+from utdd.verdict import report_from_dict
 
 NAN, INF = float("nan"), float("inf")
 DELETE = object()
