@@ -119,9 +119,9 @@ def fit_embedding(
 
 
 def check_epsilon(epsilon: Optional[float]) -> None:
-    """Refuse an epsilon other than None that is not positive with :class:`InvalidArgumentError`."""
-    if epsilon is not None and not epsilon > 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    """Refuse an epsilon other than None that is not positive and finite with :class:`InvalidArgumentError`."""
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
 
 
 def boosted_fit(

@@ -4,8 +4,9 @@ The ADF regression is the constant-only form
 
     dx_t = alpha + gamma * x_{t-1} + sum_{i=1..L} delta_i * dx_{t-i} + e_t
 
-fitted by least squares from the R factor of ``[X | y]``; Q is never formed.
-The t-ratio of ``gamma`` is compared against the asymptotic 5% critical value
+fitted by least squares from the R factor of the one matrix
+``[1, x_{t-1}, dx_{t-1..t-L}, dx_t]``; Q is never formed and only ``gamma``'s
+t-ratio is computed.  It is compared against the asymptotic 5% critical value
 for the constant-only case (-2.86).  No finite-sample critical-value surface
 or p-value interpolation is attempted: callers only need the stationary /
 non-stationary verdict.
@@ -38,34 +39,28 @@ ADF_CRITICAL_5PCT = -2.86
 MIN_WINDOW_POINTS = 30  # fewest points ndiffs and run_utdd take in a window
 
 
-def ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinary least squares from the R factor of ``[X | y]``; Q is never formed.
+def ols(xy: np.ndarray) -> float:
+    """t-ratio of the second regressor when the last column of ``xy = [X | y]`` is fitted on the others.
 
-    Its last column holds ``Q'y`` and its corner ``|R[k, k]|`` is the residual
-    norm (Golub & Van Loan, *Matrix Computations*, 5.3), so one R-only QR gives
-    the pair ``(coef, stderr)``, ``stderr = |R[k, k]| sqrt(rowsumsq(R^-1) / (n - k))``.
-    QR is used instead of the normal equations because near-unit-root designs are
-    ill-conditioned.  Raises :class:`DegenerateInputError` when the design
-    matrix is rank-deficient and :class:`InvalidArgumentError` when there are
-    not enough rows to estimate the error variance.
+    One R-only QR of ``xy`` gives it; Q is never formed.  R's last column holds
+    ``Q'y`` and its corner ``|R[k, k]|`` is the residual norm (Golub & Van Loan,
+    *Matrix Computations*, 5.3).  With ``w`` the second row of ``R^-1`` (one
+    solve of ``R'w = e_2``), the coefficient is ``w . R[:k, k]`` and its standard
+    error ``|R[k, k]| |w| / sqrt(n - k)``; on a leading block of R, with the tail
+    norm of R's last column as residual norm, the same formula fits a nested
+    model.  QR, not the normal equations, because near-unit-root designs are
+    ill-conditioned.  Raises :class:`DegenerateInputError` when ``X`` is
+    rank-deficient; the caller passes a 2-d float array with spare rows.
     """
-    X = np.asarray(design, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise InvalidArgumentError("design must be 2-d with one row per target value")
-    n, k = X.shape
-    if n < k + 1:
-        raise InvalidArgumentError(f"{n} observations cannot support {k} regressors")
-    ry = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    k = xy.shape[1] - 1
+    ry = np.linalg.qr(xy, mode="r")
     r = ry[:k, :k]
-    col_scale = np.maximum(np.sqrt(np.einsum("ij,ij->j", X, X)), 1.0)
+    col_scale = np.maximum(np.sqrt(np.einsum("ij,ij->j", xy[:, :k], xy[:, :k])), 1.0)
     if np.any(np.abs(np.diag(r)) <= 1e-10 * col_scale):
         raise DegenerateInputError("design matrix is rank-deficient")
-    coef = np.linalg.solve(r, ry[:k, k])
-    r_inv = np.linalg.inv(r)
-    # diag of (X'X)^-1 = diag of R^-1 R^-T; R[k, k] stays unsquared, so it cannot overflow
-    stderr = abs(ry[k, k]) * np.sqrt((r_inv * r_inv).sum(axis=1) / (n - k))
-    return coef, stderr
+    w = np.linalg.solve(r.T, np.eye(k)[1])
+    # R[k, k] stays unsquared, so it cannot overflow
+    return float(w @ ry[:k, k] * np.sqrt(xy.shape[0] - k) / (abs(ry[k, k]) * np.linalg.norm(w)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,8 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
     Returns
     -------
     AdfResult
-        The t-ratio, the lag order L used (``lags_used``), the 5% critical
+        The t-ratio of ``gamma`` (by :func:`ols`, from the regression matrix
+        built once), the lag order L used (``lags_used``), the 5% critical
         value and the stationarity verdict.
 
     Raises
@@ -135,8 +131,7 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
         )
     # one row per observation t = L+1 .. n-1 (0-based): dx_t, dx_{t-1}, ..., dx_{t-L}
     lagged = sliding_window_view(np.diff(x), L + 1)[:, ::-1]
-    coef, stderr = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:]]), lagged[:, 0])
-    statistic = float(coef[1] / stderr[1])
+    statistic = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:], lagged[:, 0]]))
     return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,
                      stationary=statistic < ADF_CRITICAL_5PCT)
 

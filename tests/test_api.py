@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REMOVED = {
     "utdd": ("utdd", "training_residual",  # run_utdd(...).report; WindowFit.residual
              "ResidualStats", "residual_stats",  # compute_zscore reads the residual itself
-             "ols", "OlsFit",  # utdd.stationarity.ols returns (coef, stderr)
+             "ols", "OlsFit",  # utdd.stationarity.ols returns the t-ratio adf_test reads
              "schwert_lags",  # adf_test(...).lags_used
              "predict_embedding"),  # EmbeddingModel.lookup[codes]
     "utdd.drift": ("utdd", "report_to_dict"),  # save_report
@@ -69,12 +69,10 @@ def test_readme_lists_exactly_the_exported_names():
     assert set(re.findall(r"`(\w+)`", section)) == set(utdd.__all__)
 
 
-def test_ols_fit_holds_coefficients_and_standard_errors_only():
-    # the residual norm is read from the R factor; no residual vector is formed
-    x = np.column_stack([np.ones(4), np.arange(4.0)])
-    fit = ols(x, np.array([1.0, 2.0, 3.0, 5.0]))
-    assert type(fit) is tuple and len(fit) == 2
-    assert all(type(part) is np.ndarray and part.shape == (2,) for part in fit)
+def test_ols_returns_one_float_and_stays_unexported():
+    # adf_test reads only the lagged level's t-ratio; no coefficients or standard errors are returned
+    xy = np.column_stack([np.ones(4), np.arange(4.0), [1.0, 2.0, 3.0, 5.0]])
+    assert type(ols(xy)) is float
     assert "ols" not in utdd.stationarity.__all__
 
 

@@ -394,6 +394,15 @@ def test_detect_refuses_numbers_outside_the_ascii_syntax(fixture_csv, tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def test_detect_refuses_an_infinite_epsilon_before_fitting(fixture_csv, tmp_path, capsys):
+    report_out = tmp_path / "r.json"
+    code = main(["detect", "--input", str(fixture_csv), *REF, *CUR, "--epsilon", "inf",
+                 "--report-out", str(report_out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: epsilon must be positive and finite\n"
+    assert not report_out.exists()
+
+
 def test_detect_accepts_ascii_numbers_in_every_spelling(fixture_csv, tmp_path):
     report_out = tmp_path / "r.json"
     code = main(["detect", "--input", str(fixture_csv), *REF, *CUR, "--threshold", ".5",
