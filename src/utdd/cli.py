@@ -52,7 +52,7 @@ _DEFERRED = {
     "series": ("FeatureSpec", "format_utc", "parse_utc", "read_series_csv", "write_series_csv"),
     "simulate": ("load_sim_config", "simulate_series"),
     "stationarity": ("ndiffs",),
-    "embeddings": ("boosted_fit", "save_model"),
+    "embeddings": ("boosted_fit", "check_epsilon", "save_model"),
     "drift": ("run_utdd", "write_fit_csv", "write_residual_csv"),
 }
 
@@ -153,6 +153,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     series = read_series_csv(args.input)
     window = _window(series, args.window_from, args.window_to, "--from/--to")
     features = _parse_features(args.features, _parse_holidays(args.holidays))
+    check_epsilon(args.epsilon)  # before the ADF loop, as run_utdd does
     k = ndiffs(window, max_diff=args.max_diff).k
     model = boosted_fit(window, features, epsilon=args.epsilon, k_diffs=k)
     save_model(model, args.model_out)

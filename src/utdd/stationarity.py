@@ -4,9 +4,13 @@ The ADF regression is the constant-only form
 
     dx_t = alpha + gamma * x_{t-1} + sum_{i=1..L} delta_i * dx_{t-i} + e_t
 
-fitted by least squares from the R factor of the one matrix
-``[1, x_{t-1}, dx_{t-1..t-L}, dx_t]``; Q is never formed and only ``gamma``'s
-t-ratio is computed.  It is compared against the asymptotic 5% critical value
+fitted by least squares on the one matrix ``[1, x_{t-1}, dx_{t-1..t-L}, dx_t]``,
+and only ``gamma``'s t-ratio is computed.  Centring the other columns partials
+out the constant (Frisch-Waugh-Lovell), so the t-ratio comes from the R factor
+of the centred matrix.  CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya
+2015) computes that factor from two small Gram matrices; a design too
+ill-conditioned for it is factored by Householder QR instead.  Q is never
+formed.  The statistic is compared against the asymptotic 5% critical value
 for the constant-only case (-2.86).  No finite-sample critical-value surface
 or p-value interpolation is attempted: callers only need the stationary /
 non-stationary verdict.
@@ -38,29 +42,86 @@ ADF_CRITICAL_5PCT = -2.86
 
 MIN_WINDOW_POINTS = 30  # fewest points ndiffs and run_utdd take in a window
 
+# CholeskyQR2 is trusted up to this 1-norm condition estimate of its first
+# Cholesky factor.  Near 1e8 it breaks down on designs that the rank rule fits,
+# so Householder QR takes over above it.
+_CHOLESKY_QR_MAX_COND = 1e6
+_BLOCK_ROWS = 2048  # rows of Q formed at a time, so Q is never held whole
+
+
+def _cholesky_qr2(z: np.ndarray) -> Optional[np.ndarray]:
+    """R factor of ``z`` by CholeskyQR2, or None when ``z`` is too ill-conditioned for it.
+
+    The columns are normalised to unit norm inside the Gram matrix, whose
+    Cholesky factor R1 gives ``Q = Z inv(R1)``; the Cholesky factor R2 of
+    ``Q'Q`` corrects R1's loss of orthogonality, and ``R = R2 R1``.  Q is
+    formed a block of rows at a time and only ``Q'Q`` is kept.
+    """
+    gram = z.T @ z
+    norms = np.sqrt(gram.diagonal())
+    norms[norms == 0.0] = 1.0  # a zero column stays a zero pivot, which Cholesky refuses
+    try:
+        r1 = np.linalg.cholesky(gram / norms / norms[:, None], upper=True)
+    except np.linalg.LinAlgError:
+        return None
+    r1_inv = np.linalg.inv(r1)
+    # the 1-norm of a matrix is its largest absolute column sum
+    if np.abs(r1).sum(axis=0).max() * np.abs(r1_inv).sum(axis=0).max() > _CHOLESKY_QR_MAX_COND:
+        return None
+    to_q = r1_inv / norms[:, None]
+    gram = np.zeros_like(gram)
+    for start in range(0, z.shape[0], _BLOCK_ROWS):
+        q = z[start : start + _BLOCK_ROWS] @ to_q
+        gram += q.T @ q
+    try:
+        return np.linalg.cholesky(gram, upper=True) @ r1 * norms
+    except np.linalg.LinAlgError:
+        return None
+
 
 def ols(xy: np.ndarray) -> float:
-    """t-ratio of the second regressor when the last column of ``xy = [X | y]`` is fitted on the others.
+    """t-ratio of the first column of ``X`` when ``y`` is fitted on ``[1 | X]``, for ``xy = [1 | X | y]``.
 
-    One R-only QR of ``xy`` gives it; Q is never formed.  R's last column holds
-    ``Q'y`` and its corner ``|R[k, k]|`` is the residual norm (Golub & Van Loan,
-    *Matrix Computations*, 5.3).  With ``w`` the second row of ``R^-1`` (one
-    solve of ``R'w = e_2``), the coefficient is ``w . R[:k, k]`` and its standard
-    error ``|R[k, k]| |w| / sqrt(n - k)``; on a leading block of R, with the tail
-    norm of R's last column as residual norm, the same formula fits a nested
-    model.  QR, not the normal equations, because near-unit-root designs are
-    ill-conditioned.  Raises :class:`DegenerateInputError` when ``X`` is
-    rank-deficient; the caller passes a 2-d float array with spare rows.
+    ``xy`` is overwritten.  Each column after the constant is divided by its
+    largest magnitude, so that no sum overflows, and then centred, which
+    partials out the constant (Frisch-Waugh-Lovell).  CholeskyQR2 (Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya 2015) gives the R factor of the centred
+    ``[X | y]``.  When a Cholesky factorization fails, or the first factor's
+    1-norm condition estimate exceeds 1e6, numpy's Householder QR factors the
+    centred matrix instead: on a sinusoid plus noise at 1e-10 to 1e-8
+    relative, CholeskyQR2 alone refuses designs that the rank rule fits.
+    Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa
+    2020) fits them too, but is no faster than this guard.
+
+    For ``X`` of p columns, R's last column holds ``Q'y`` and its corner
+    ``|R[p, p]|`` is the residual norm (Golub & Van Loan, *Matrix
+    Computations*, 5.3).  With ``w`` the first row of ``R^-1`` (one solve of
+    ``R'w = e_1``), the coefficient is ``w . R[:p, p]`` and its standard error
+    ``|R[p, p]| |w| / sqrt(n - p - 1)``, the constant counting as a regressor.
+    On a leading block of R, with the tail norm of R's last column as residual
+    norm, the same formula fits a nested model.  Raises
+    :class:`DegenerateInputError` when ``X`` is rank-deficient by the rule
+    ``|R_jj| <= 1e-10 * max(|x_j|, 1)`` in the units of ``xy``; the caller
+    passes a 2-d float array with spare rows.
     """
-    k = xy.shape[1] - 1
-    ry = np.linalg.qr(xy, mode="r")
-    r = ry[:k, :k]
-    col_scale = np.maximum(np.sqrt(np.einsum("ij,ij->j", xy[:, :k], xy[:, :k])), 1.0)
-    if np.any(np.abs(np.diag(r)) <= 1e-10 * col_scale):
+    n, p = xy.shape[0], xy.shape[1] - 2
+    z = xy[:, 1:]
+    # at least the smallest normal float, so that 1 / scale below is finite
+    scale = np.maximum(np.maximum(z.max(axis=0), -z.min(axis=0)), np.finfo(np.float64).tiny)
+    z /= scale
+    mean = z.sum(axis=0) / n
+    z -= mean
+    r = _cholesky_qr2(z)
+    if r is None:
+        r = np.linalg.qr(z, mode="r")
+    rx, scale, mean = r[:p, :p], scale[:p], mean[:p]
+    # the rank rule in the units of z = x / scale: |x_j| / scale_j is the norm of
+    # z_j + mean_j, and R's column j keeps the norm of z_j
+    x_norms = np.sqrt(np.einsum("ij,ij->j", rx, rx) + n * mean * mean)
+    if np.any(np.abs(rx.diagonal()) <= 1e-10 * np.maximum(x_norms, 1.0 / scale)):
         raise DegenerateInputError("design matrix is rank-deficient")
-    w = np.linalg.solve(r.T, np.eye(k)[1])
-    # R[k, k] stays unsquared, so it cannot overflow
-    return float(w @ ry[:k, k] * np.sqrt(xy.shape[0] - k) / (abs(ry[k, k]) * np.linalg.norm(w)))
+    w = np.linalg.solve(rx.T, np.eye(p)[0])
+    return float(w @ r[:p, p] * np.sqrt(n - p - 1) / (abs(r[p, p]) * np.linalg.norm(w)))
 
 
 @dataclass(frozen=True)
@@ -129,9 +190,10 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
             f"{n} points leave {nobs} usable observations for {nreg} regressors; "
             "need at least 10 and regressors + 2"
         )
-    # one row per observation t = L+1 .. n-1 (0-based): dx_t, dx_{t-1}, ..., dx_{t-L}
-    lagged = sliding_window_view(np.diff(x), L + 1)[:, ::-1]
-    statistic = ols(np.column_stack([np.ones(nobs), x[L : n - 1], lagged[:, 1:], lagged[:, 0]]))
+    # lagged[i] holds dx_{t-i} for the observations t = L+1 .. n-1 (0-based)
+    lagged = sliding_window_view(np.diff(x), nobs)[::-1]
+    # stacked as rows and transposed, so each column is contiguous for ols
+    statistic = ols(np.vstack([np.ones(nobs), x[L : n - 1], lagged[1:], lagged[0]]).T)
     return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,
                      stationary=statistic < ADF_CRITICAL_5PCT)
 

@@ -248,6 +248,20 @@ def test_fit_huge_epsilon_warns(fixture_csv, tmp_path, capsys):
     assert load_model(model_out).stages == ()
 
 
+def test_fit_refuses_an_infinite_epsilon_before_fitting(fixture_csv, tmp_path, capsys, monkeypatch):
+    def no_ndiffs(*args, **kwargs):
+        raise AssertionError("ndiffs ran before the epsilon check")
+
+    monkeypatch.setattr(utdd.cli, "ndiffs", no_ndiffs)
+    model_out = tmp_path / "m.json"
+    code = main(["fit", "--input", str(fixture_csv), "--from", "2020-08-01T00:00:00Z",
+                 "--to", "2020-10-01T00:00:00Z", "--features", "day_of_week", "--epsilon", "inf",
+                 "--model-out", str(model_out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: epsilon must be positive and finite\n"
+    assert not model_out.exists()
+
+
 def test_fit_window_with_holidays(fixture_csv, tmp_path):
     model_out = tmp_path / "hol.json"
     code = main(

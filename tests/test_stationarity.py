@@ -5,6 +5,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,16 @@ def test_adf_statistic_is_affine_invariant(scale, shift):
     assert_allclose(moved, base, rtol=1e-7, atol=1e-9)
 
 
+def test_adf_statistic_is_scale_free_up_to_the_float_limit():
+    # every column is divided by its largest magnitude before any sum or
+    # square, so no norm overflows (warnings are errors) and values past 1e154,
+    # whose squares do, are fitted like any others
+    x = np.random.default_rng(6).standard_normal(200)
+    base = adf_test(x).statistic
+    for scale in (1e-9, 1e-6, 1e150, 1e160, 1e200, 1e300, 1e307):
+        assert_allclose(adf_test(scale * x).statistic, base, rtol=1e-12)
+
+
 def adf_design(x, lags):
     """The ADF regression's design and target, built independently of adf_test."""
     n = x.size
@@ -246,36 +257,114 @@ def test_adf_statistic_matches_an_exact_rational_solution(n, lags, rho, level, s
     assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
 
 
-@pytest.mark.parametrize("seed", range(1, 11))
-def test_ndiffs_matches_lstsq_on_the_bench_windows(monkeypatch, seed):
-    # The 21 reference windows of one seed of the monitoring workload
-    # (bench/workloads.py, read only), each tested level by level with numpy's
-    # own least squares.
+@lru_cache(maxsize=None)
+def bench_workloads():
+    """``bench/workloads.py``, imported read only."""
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
-    spec.loader.exec_module(workloads)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+def bench_reference_windows(seed):
+    """The 21 reference windows of one seed of the monitoring workload."""
+    workloads = bench_workloads()
     pairs = [workloads.setup_pair(seed)] + workloads.monitor_pairs(seed)
+    return [TimeSeries(pair.start, 3600.0, pair.reference) for pair in pairs]
+
+
+def householder_t_ratio(design, target):
+    """t-ratio of the second coefficient from numpy's Householder QR of the uncentred ``[X | y]``."""
+    k = design.shape[1]
+    r = np.linalg.qr(np.column_stack([design, target]), mode="r")
+    rinv = np.linalg.inv(r[:k, :k])
+    sigma = abs(r[k, k]) / np.sqrt(target.size - k)
+    return rinv[1] @ r[:k, k] / (sigma * np.linalg.norm(rinv[1]))
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_ndiffs_matches_lstsq_on_the_bench_windows(seed):
+    # Each reference window of the monitoring workload (bench/workloads.py),
+    # tested level by level with numpy's own least squares and, to 1e-12,
+    # with numpy's Householder QR of the uncentred design.
+    max_diff = bench_workloads().MAX_DIFF
+    windows = bench_reference_windows(seed)
     orders = []
-    for pair in pairs:
-        res = ndiffs(TimeSeries(pair.start, 3600.0, pair.reference), max_diff=workloads.MAX_DIFF)
-        x, stats = pair.reference, []
-        for k in range(workloads.MAX_DIFF + 1):
+    for window in windows:
+        res = ndiffs(window, max_diff=max_diff)
+        x, stats, householder = window.values, [], []
+        for k in range(max_diff + 1):
             lags = int(12.0 * (x.size / 100.0) ** 0.25)
             design, target = adf_design(x, lags)
             beta, rss, *_ = np.linalg.lstsq(design, target, rcond=None)
             cov = np.linalg.inv(design.T @ design)
             stats.append(beta[1] / np.sqrt(rss[0] / (target.size - design.shape[1]) * cov[1, 1]))
+            householder.append(householder_t_ratio(design, target))
             if stats[-1] < -2.86:
                 break
             x = np.diff(x)
         assert res.k == k
         assert [r.lags_used for r in res.trail] == [
-            int(12.0 * ((pair.reference.size - i) / 100.0) ** 0.25) for i in range(k + 1)
+            int(12.0 * ((len(window) - i) / 100.0) ** 0.25) for i in range(k + 1)
         ]
-        assert_allclose([r.statistic for r in res.trail], stats, rtol=1e-9)
+        got = np.array([r.statistic for r in res.trail])
+        assert_allclose(got, stats, rtol=1e-9)
+        assert np.all(np.abs(got - householder) <= 1e-12 * np.maximum(np.abs(householder), 1.0))
         orders.append(k)
-    assert len(pairs) == 21 and set(orders) == {0, 1}
+    assert len(windows) == 21 and set(orders) == {0, 1}
+
+
+def noisy_sinusoid(n, weekly, rel, seed=0):
+    """A daily sinusoid (plus a weekly one at 0.3) and Gaussian noise at ``rel``.
+
+    In exact arithmetic a sinusoid's difference is a linear combination of
+    its level and a few lagged differences, so only the noise keeps the ADF
+    design full rank: centred, its condition number is about 10 / rel.
+    """
+    t = np.arange(n)
+    x = np.sin(2 * np.pi * t / 24) + (0.3 * np.sin(2 * np.pi * t / 168) if weekly else 0.0)
+    return x + rel * np.random.default_rng(seed).standard_normal(n)
+
+
+@pytest.mark.parametrize("weekly", [False, True], ids=["daily", "daily+weekly"])
+def test_adf_refusal_set_on_a_noisy_sinusoid(weekly):
+    # The 1e-10 rank rule refuses the near-collinear design up to rel = 1e-11;
+    # from rel = 1e-10 on it is fitted, and the noise makes it stationary.
+    for n in (200, 2000, 8760):
+        for rel in (1e-13, 1e-12, 1e-11):
+            with pytest.raises(DegenerateInputError):
+                adf_test(noisy_sinusoid(n, weekly, rel))
+        for rel in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            assert adf_test(noisy_sinusoid(n, weekly, rel)).stationary, (n, rel)
+    assert ndiffs(hourly(noisy_sinusoid(2000, weekly, 1e-9))).k == 0
+
+
+def test_adf_takes_the_householder_branch_only_when_cholesky_qr2_is_unsafe(monkeypatch):
+    # The noisy sinusoid needs the guard; no bench reference window does.
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "utdd.stationarity":
+            calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    # at rel = 1e-9 the first Cholesky factor breaks down; at 1e-7 it exists,
+    # but its condition estimate (~2e8) is past the guard
+    for rel in (1e-9, 1e-7):
+        assert adf_test(noisy_sinusoid(2000, False, rel)).stationary
+        assert len(calls) == 1, rel
+        calls.clear()
+    max_diff = bench_workloads().MAX_DIFF
+    for seed in range(1, 11):
+        for window in bench_reference_windows(seed):
+            ndiffs(window, max_diff=max_diff)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
