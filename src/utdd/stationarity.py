@@ -4,10 +4,10 @@ The ADF regression is the constant-only form
 
     dx_t = alpha + gamma * x_{t-1} + sum_{i=1..L} delta_i * dx_{t-i} + e_t
 
-fitted by least squares on the one matrix ``[1, x_{t-1}, dx_{t-1..t-L}, dx_t]``,
-and only ``gamma``'s t-ratio is computed.  Centring the other columns partials
-out the constant (Frisch-Waugh-Lovell), so the t-ratio comes from the R factor
-of the centred matrix.  CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya
+fitted by least squares on the one matrix ``[x_{t-1}, dx_{t-1..t-L}, dx_t]``,
+and only ``gamma``'s t-ratio is computed.  Centring the columns partials out
+the constant (Frisch-Waugh-Lovell), so the matrix needs no column of ones and
+the t-ratio comes from the R factor of the centred matrix.  CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya
 2015) computes that factor from two small Gram matrices; a design too
 ill-conditioned for it is factored by Householder QR instead.  Q is never
 formed.  The statistic is compared against the asymptotic 5% critical value
@@ -61,7 +61,8 @@ def _cholesky_qr2(z: np.ndarray) -> Optional[np.ndarray]:
     norms = np.sqrt(gram.diagonal())
     norms[norms == 0.0] = 1.0  # a zero column stays a zero pivot, which Cholesky refuses
     try:
-        r1 = np.linalg.cholesky(gram / norms / norms[:, None], upper=True)
+        # numpy's cholesky gives the lower factor; its transpose is the upper R1
+        r1 = np.linalg.cholesky(gram / norms / norms[:, None]).T
     except np.linalg.LinAlgError:
         return None
     r1_inv = np.linalg.inv(r1)
@@ -74,17 +75,18 @@ def _cholesky_qr2(z: np.ndarray) -> Optional[np.ndarray]:
         q = z[start : start + _BLOCK_ROWS] @ to_q
         gram += q.T @ q
     try:
-        return np.linalg.cholesky(gram, upper=True) @ r1 * norms
+        return np.linalg.cholesky(gram).T @ r1 * norms
     except np.linalg.LinAlgError:
         return None
 
 
 def ols(xy: np.ndarray) -> float:
-    """t-ratio of the first column of ``X`` when ``y`` is fitted on ``[1 | X]``, for ``xy = [1 | X | y]``.
+    """t-ratio of the first column of ``X`` when ``y`` is fitted on ``[1 | X]``, for ``xy = [X | y]``.
 
-    ``xy`` is overwritten.  Each column after the constant is divided by its
-    largest magnitude, so that no sum overflows, and then centred, which
-    partials out the constant (Frisch-Waugh-Lovell).  CholeskyQR2 (Yamamoto,
+    A constant is always fitted, so ``xy`` holds no column of ones.  ``xy``
+    is overwritten: each column is divided by its largest magnitude, so that
+    no sum overflows, and then centred, which partials out the constant
+    (Frisch-Waugh-Lovell).  CholeskyQR2 (Yamamoto,
     Nakatsukasa, Yanagisawa & Fukaya 2015) gives the R factor of the centred
     ``[X | y]``.  When a Cholesky factorization fails, or the first factor's
     1-norm condition estimate exceeds 1e6, numpy's Householder QR factors the
@@ -104,8 +106,8 @@ def ols(xy: np.ndarray) -> float:
     ``|R_jj| <= 1e-10 * max(|x_j|, 1)`` in the units of ``xy``; the caller
     passes a 2-d float array with spare rows.
     """
-    n, p = xy.shape[0], xy.shape[1] - 2
-    z = xy[:, 1:]
+    n, p = xy.shape[0], xy.shape[1] - 1
+    z = xy
     # at least the smallest normal float, so that 1 / scale below is finite
     scale = np.maximum(np.maximum(z.max(axis=0), -z.min(axis=0)), np.finfo(np.float64).tiny)
     z /= scale
@@ -193,7 +195,7 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
     # lagged[i] holds dx_{t-i} for the observations t = L+1 .. n-1 (0-based)
     lagged = sliding_window_view(np.diff(x), nobs)[::-1]
     # stacked as rows and transposed, so each column is contiguous for ols
-    statistic = ols(np.vstack([np.ones(nobs), x[L : n - 1], lagged[1:], lagged[0]]).T)
+    statistic = ols(np.vstack([x[L : n - 1], lagged[1:], lagged[0]]).T)
     return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,
                      stationary=statistic < ADF_CRITICAL_5PCT)
 
