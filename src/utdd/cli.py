@@ -51,9 +51,8 @@ __all__ = ["main"]
 _DEFERRED = {
     "series": ("FeatureSpec", "format_utc", "parse_utc", "read_series_csv", "write_series_csv"),
     "simulate": ("load_sim_config", "simulate_series"),
-    "stationarity": ("ndiffs",),
-    "embeddings": ("boosted_fit", "check_epsilon", "save_model"),
-    "drift": ("run_utdd", "write_fit_csv", "write_residual_csv"),
+    "embeddings": ("save_model",),
+    "drift": ("fit_reference", "run_utdd", "write_fit_csv", "write_residual_csv"),
 }
 
 
@@ -149,13 +148,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    _load("series", "stationarity", "embeddings")
+    _load("series", "embeddings", "drift")
     series = read_series_csv(args.input)
     window = _window(series, args.window_from, args.window_to, "--from/--to")
     features = _parse_features(args.features, _parse_holidays(args.holidays))
-    check_epsilon(args.epsilon)  # before the ADF loop, as run_utdd does
-    k = ndiffs(window, max_diff=args.max_diff).k
-    model = boosted_fit(window, features, epsilon=args.epsilon, k_diffs=k)
+    model = fit_reference(window, features, epsilon=args.epsilon, max_diff=args.max_diff)
     save_model(model, args.model_out)
     if not model.stages:
         print("warning: no stage cleared epsilon; the model predicts a constant", file=sys.stderr)

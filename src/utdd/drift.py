@@ -28,6 +28,7 @@ __all__ = [
     "WindowFit",
     "UtddResult",
     "compute_zscore",
+    "fit_reference",
     "run_utdd",
     "write_residual_csv",
     "write_fit_csv",
@@ -73,6 +74,21 @@ def compute_zscore(residual: Sequence[float]) -> float:
     return float(np.abs(r - r.mean()).mean() / r.std())
 
 
+def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: Optional[float] = None,
+                  max_diff: int = DEFAULT_MAX_DIFF) -> BoostedModel:
+    """Boosted fit of ``window`` differenced ``ndiffs`` times, the epsilon checked before ADF."""
+    check_epsilon(epsilon)
+    k = ndiffs(window, max_diff=max_diff).k
+    return boosted_fit(window, features, epsilon=epsilon, k_diffs=k)
+
+
+def _window_fit(window: TimeSeries, model: BoostedModel) -> WindowFit:
+    """``model``'s seasonal component and residual on ``window`` differenced ``model.k_diffs`` times."""
+    grid = diff(window, model.k_diffs)
+    seasonal = boosted_predict(model, grid)
+    return WindowFit(grid, seasonal, grid.values - seasonal, model)
+
+
 def run_utdd(
     reference: TimeSeries,
     current: TimeSeries,
@@ -106,21 +122,12 @@ def run_utdd(
                 f"{name} window has {len(window)} points; need at least {MIN_WINDOW_POINTS}"
             )
     check_threshold(threshold)
-    check_epsilon(epsilon)
-    k = ndiffs(reference, max_diff=max_diff).k
-
-    model_ref = boosted_fit(reference, features, epsilon=epsilon, k_diffs=k)
+    model_ref = fit_reference(reference, features, epsilon=epsilon, max_diff=max_diff)
+    k = model_ref.k_diffs
     model_cur = model_ref if reuse_model else boosted_fit(current, features, epsilon=epsilon, k_diffs=k)
+    fit_ref, fit_cur = _window_fit(reference, model_ref), _window_fit(current, model_cur)
 
-    grid_ref = diff(reference, k)
-    grid_cur = diff(current, k)
-    seasonal_ref = boosted_predict(model_ref, grid_ref)
-    seasonal_cur = boosted_predict(model_cur, grid_cur)
-    residual_ref = grid_ref.values - seasonal_ref
-    residual_cur = grid_cur.values - seasonal_cur
-
-    z_ref = compute_zscore(residual_ref)
-    z_curr = compute_zscore(residual_cur)
+    z_ref, z_curr = compute_zscore(fit_ref.residual), compute_zscore(fit_cur.residual)
     report = DriftReport(
         k_diffs=k,
         z_ref=z_ref,
@@ -129,11 +136,7 @@ def run_utdd(
         threshold=float(threshold),
         drifted=detect(z_ref, z_curr, threshold),
     )
-    return UtddResult(
-        report=report,
-        reference=WindowFit(grid_ref, seasonal_ref, residual_ref, model_ref),
-        current=WindowFit(grid_cur, seasonal_cur, residual_cur, model_cur),
-    )
+    return UtddResult(report=report, reference=fit_ref, current=fit_cur)
 
 
 def write_residual_csv(fit: WindowFit, path) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import utdd
+import utdd.drift
 from utdd import load_model, read_series_csv
+from utdd.embeddings import model_to_dict
 from utdd.cli import main
-from utdd.series import read_timestamp_table, write_series_csv
+from utdd.series import parse_utc, read_timestamp_table, write_series_csv
 
 FIXTURE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "fixture.json")
 
@@ -252,7 +255,7 @@ def test_fit_refuses_an_infinite_epsilon_before_fitting(fixture_csv, tmp_path, c
     def no_ndiffs(*args, **kwargs):
         raise AssertionError("ndiffs ran before the epsilon check")
 
-    monkeypatch.setattr(utdd.cli, "ndiffs", no_ndiffs)
+    monkeypatch.setattr(utdd.drift, "ndiffs", no_ndiffs)
     model_out = tmp_path / "m.json"
     code = main(["fit", "--input", str(fixture_csv), "--from", "2020-08-01T00:00:00Z",
                  "--to", "2020-10-01T00:00:00Z", "--features", "day_of_week", "--epsilon", "inf",
@@ -274,6 +277,40 @@ def test_fit_window_with_holidays(fixture_csv, tmp_path):
     model = load_model(model_out)
     kinds = [s.feature.kind for s in model.stages]
     assert "is_holiday" in kinds
+
+
+FIT_WINDOW = ["--from", "2020-08-01T00:00:00Z", "--to", "2020-10-01T00:00:00Z"]
+HOLIDAYS = "2020-08-10,2020-08-24,2020-09-07,2020-09-21"
+
+
+@pytest.mark.parametrize(
+    "flags, features, kwargs",
+    [
+        (["--features", "day_of_week,hour_of_day"], ("day_of_week", "hour_of_day"), {}),
+        (["--features", ",".join(utdd.DEFAULT_FEATURE_ORDER), "--holidays", HOLIDAYS],
+         utdd.DEFAULT_FEATURE_ORDER, {}),
+        (["--features", "day_of_week,hour_of_day", "--epsilon", "1e-3"],
+         ("day_of_week", "hour_of_day"), {"epsilon": 1e-3}),
+        (["--features", "day_of_week,hour_of_day", "--max-diff", "0"],
+         ("day_of_week", "hour_of_day"), {"max_diff": 0}),
+    ],
+    ids=["readme", "holidays", "epsilon", "max-diff-0"],
+)
+def test_fit_saves_the_reference_model_of_run_utdd(fixture_csv, tmp_path, capsys, flags, features,
+                                                     kwargs):
+    # utdd fit and run_utdd fit a reference window by one path; a second copy drifts apart
+    model_out = tmp_path / "model.json"
+    assert main(["fit", "--input", str(fixture_csv), *FIT_WINDOW, *flags,
+                 "--model-out", str(model_out)]) == 0
+    capsys.readouterr()
+    series = read_series_csv(fixture_csv)
+    start, end = (parse_utc(text) for text in FIT_WINDOW[1::2])
+    reference = series.window(start, end)
+    holidays = frozenset(date.fromisoformat(day) for day in HOLIDAYS.split(","))
+    specs = [utdd.FeatureSpec(kind, holiday_dates=holidays if kind == "is_holiday" else None)
+             for kind in features]
+    result = utdd.run_utdd(reference, reference, specs, **kwargs)
+    assert model_to_dict(load_model(model_out)) == model_to_dict(result.reference.model)
 
 
 def test_fit_errors(fixture_csv, tmp_path, capsys):
