@@ -110,12 +110,9 @@ def fit_embedding(
     global_mean = float(target.mean())
     lookup = np.full(spec.cardinality, global_mean)
     lookup[seen] = sums[seen] / counts[seen]
-    prediction = lookup[codes]
-    sse_baseline = float(((target - global_mean) ** 2).sum())
-    sse_fitted = float(((target - prediction) ** 2).sum())
-    return EmbeddingModel(
-        feature=spec, lookup=lookup, sse_reduction=max(sse_baseline - sse_fitted, 0.0)
-    )
+    # the sum of squares that the group means explain, which cannot go negative
+    sse_reduction = float(counts[seen] @ (lookup[seen] - global_mean) ** 2)
+    return EmbeddingModel(feature=spec, lookup=lookup, sse_reduction=sse_reduction)
 
 
 def check_epsilon(epsilon: Optional[float]) -> None:

@@ -59,6 +59,25 @@ def test_fit_embedding_group_means_by_hand():
     assert_allclose(m.sse_reduction, 4.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_embedding_sse_reduction_is_the_explained_sum_of_squares(seed):
+    # the sum of squares the group means explain is the baseline SSE less the fitted SSE
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 24, 500)
+    target = rng.normal(0.0, 1.0, 500) + rng.normal(0.0, 0.1 * seed, 24)[codes]
+    m = fit_embedding(codes, target, HOD)
+    baseline = ((target - target.mean()) ** 2).sum()
+    fitted = ((target - m.lookup[codes]) ** 2).sum()
+    assert m.sse_reduction >= 0.0
+    assert_allclose(m.sse_reduction, baseline - fitted, rtol=1e-9, atol=1e-12 * baseline)
+
+
+def test_fit_embedding_explains_nothing_when_every_group_mean_is_the_global_mean():
+    m = fit_embedding([0, 0, 1, 1], [1.0, 3.0, 0.0, 4.0], FeatureSpec("is_weekend"))
+    assert m.lookup.tolist() == [2.0, 2.0]
+    assert m.sse_reduction == 0.0
+
+
 def test_fit_embedding_unseen_category_falls_back_to_global_mean():
     spec = FeatureSpec("day_of_week")
     m = fit_embedding([0, 0, 1], [2.0, 4.0, 9.0], spec)
