@@ -376,6 +376,31 @@ def test_adf_takes_the_householder_branch_only_when_cholesky_qr2_is_unsafe(monke
     assert calls == []
 
 
+def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeypatch):
+    # Q'Q of a design whose first factor passed the guard is near the identity,
+    # so the second Cholesky fails only when made to
+    x = np.random.default_rng(8).standard_normal(500)
+    base = adf_test(x).statistic
+    cholesky, qr = np.linalg.cholesky, np.linalg.qr
+    cholesky_calls, qr_calls = [], []
+
+    def second_cholesky_fails(a):
+        cholesky_calls.append(a.shape)
+        if len(cholesky_calls) == 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    def counting_qr(*args, **kwargs):
+        qr_calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", second_cholesky_fails)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    statistic = adf_test(x).statistic
+    assert len(cholesky_calls) == 2 and len(qr_calls) == 1
+    assert abs(statistic - base) <= 1e-12 * max(abs(base), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # ndiffs
 # ---------------------------------------------------------------------------
