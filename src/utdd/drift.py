@@ -76,7 +76,7 @@ def compute_zscore(residual: Sequence[float]) -> float:
 
 def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: Optional[float] = None,
                   max_diff: int = DEFAULT_MAX_DIFF) -> BoostedModel:
-    """Boosted fit of ``window`` differenced ``ndiffs`` times, the epsilon checked before ADF."""
+    """``features`` boosted on ``window`` differenced ``ndiffs`` times, epsilon checked before ADF."""
     check_epsilon(epsilon)
     k = ndiffs(window, max_diff=max_diff).k
     return boosted_fit(window, features, epsilon=epsilon, k_diffs=k)
@@ -127,7 +127,8 @@ def run_utdd(
     model_cur = model_ref if reuse_model else boosted_fit(current, features, epsilon=epsilon, k_diffs=k)
     fit_ref, fit_cur = _window_fit(reference, model_ref), _window_fit(current, model_cur)
 
-    z_ref, z_curr = compute_zscore(fit_ref.residual), compute_zscore(fit_cur.residual)
+    z_ref = compute_zscore(fit_ref.residual)
+    z_curr = compute_zscore(fit_cur.residual)
     report = DriftReport(
         k_diffs=k,
         z_ref=z_ref,

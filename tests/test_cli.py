@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 import utdd
 import utdd.drift
 from utdd import load_model, read_series_csv
-from utdd.embeddings import model_to_dict
 from utdd.cli import main
+from utdd.embeddings import model_to_dict
 from utdd.series import parse_utc, read_timestamp_table, write_series_csv
 
 FIXTURE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "fixture.json")
