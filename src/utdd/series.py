@@ -244,25 +244,35 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     """Category id per point, computed from each point's timestamp.
 
     The result is an int64 array with every id below ``spec.cardinality``.
+    Every kind but ``hour_of_day`` depends on the date alone, so its codes are
+    computed once per distinct day and gathered by day.  The day table spans
+    the window's days when they are no more than its points, else it is the
+    points' own days, so memory stays bounded by the point count at any step.
     """
     us = series.epoch_us()
     if spec.kind == "hour_of_day":
-        return ((us // _US_PER_HOUR) % 24).astype(np.int64)
-    if spec.kind == "day_of_week":
-        # epoch day 0 (1970-01-01) was a Thursday; shift so Monday = 0
-        return ((us // _US_PER_DAY + 3) % 7).astype(np.int64)
-    if spec.kind == "is_weekend":
-        dow = (us // _US_PER_DAY + 3) % 7
-        return (dow >= 5).astype(np.int64)
-    if spec.kind == "month_of_year":
-        months = us.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
-        return months % 12
-    # is_holiday
-    if spec.holiday_dates is None:
+        return (us // _US_PER_HOUR) % 24
+    if spec.kind == "is_holiday" and spec.holiday_dates is None:
         raise InvalidArgumentError("is_holiday extraction requires holiday_dates")
-    days = us.astype("datetime64[us]").astype("datetime64[D]")
-    table = np.array(sorted(spec.holiday_dates), dtype="datetime64[D]")
-    return np.isin(days, table).astype(np.int64)
+    day = us // _US_PER_DAY  # days since 1970-01-01, ascending
+    first, span = int(day[0]), int(day[-1] - day[0]) + 1
+    if span <= day.size:  # every day from the first point's to the last's
+        days, index = np.arange(first, first + span, dtype=np.int64), day - first
+    else:  # a step of over a day: no two points share a day
+        days, index = day, None
+    if spec.kind == "month_of_year":
+        codes = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12
+    elif spec.kind == "is_holiday":
+        # each day's count among the sorted, distinct holiday day numbers: 0 or 1
+        holidays = np.array(sorted(d.toordinal() for d in spec.holiday_dates), dtype=np.int64)
+        holidays -= _EPOCH.toordinal()
+        codes = np.searchsorted(holidays, days, "right") - np.searchsorted(holidays, days)
+    else:
+        # epoch day 0 (1970-01-01) was a Thursday; shift so Monday = 0
+        codes = (days + 3) % 7
+        if spec.kind == "is_weekend":
+            codes = (codes >= 5).astype(np.int64)
+    return codes if index is None else codes[index]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the time-series container, calendar features, and CSV I/O."""
 
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -244,8 +245,8 @@ def test_is_weekend_codes():
 def test_month_of_year_codes():
     s = TimeSeries(datetime(2020, 1, 15, tzinfo=UTC), 86400.0 * 30, np.zeros(13))
     codes = extract_feature(s, FeatureSpec("month_of_year"))
-    assert codes[0] == 0  # January
-    assert set(codes) <= set(range(12))
+    # 2020-01-15, 02-14, 03-15, ... 12-10, then 2021-01-09
+    assert_array_equal(codes, list(range(12)) + [0])
 
 
 def test_is_holiday_codes():
@@ -293,16 +294,69 @@ def test_feature_spec_refuses_holidays_that_are_not_dates():
         FeatureSpec("is_holiday", holiday_dates=frozenset(["2020-01-01"]))
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=60, deadline=None)
-def test_feature_codes_match_datetime_library(offset_hours):
-    # python's datetime is the independent oracle for the integer calendar math
-    when = T0 + timedelta(hours=offset_hours)
-    s = TimeSeries(when, 3600.0, np.zeros(1))
-    assert extract_feature(s, FeatureSpec("hour_of_day"))[0] == when.hour
-    assert extract_feature(s, FeatureSpec("day_of_week"))[0] == when.weekday()
-    assert extract_feature(s, FeatureSpec("month_of_year"))[0] == when.month - 1
-    assert extract_feature(s, FeatureSpec("is_weekend"))[0] == int(when.weekday() >= 5)
+def datetime_codes(s, holidays):
+    """Each kind's code at every point of ``s``, from python's datetime."""
+    when = [s.timestamp(i) for i in range(len(s))]
+    return {
+        "hour_of_day": [t.hour for t in when],
+        "day_of_week": [t.weekday() for t in when],
+        "month_of_year": [t.month - 1 for t in when],
+        "is_weekend": [int(t.weekday() >= 5) for t in when],
+        "is_holiday": [int(t.date() in holidays) for t in when],
+    }
+
+
+def features(s, holidays, kinds=FEATURE_KINDS):
+    out = {}
+    for kind in kinds:
+        dates = holidays if kind == "is_holiday" else None
+        out[kind] = extract_feature(s, FeatureSpec(kind, holiday_dates=dates))
+    return out
+
+
+# under an hour, not dividing a day, a day and a second, several days, the largest step
+FEATURE_STEPS = (1e-3, 0.5, 59.999, 3600.0, 7777.0, 86400.0, 86401.0, 3 * 86400.0, 1e7, 1e9)
+
+
+@given(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)),
+    st.one_of(st.sampled_from(FEATURE_STEPS), st.floats(1e-3, 1e9)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_feature_codes_match_datetime_library(start, step, data):
+    # python's datetime is the independent oracle for the calendar math, on every
+    # point of grids from year 1 to 9999 whose steps may or may not divide a day
+    start = start.replace(tzinfo=UTC)
+    step_us = round(step * 1e6)
+    fits = (datetime.max.replace(tzinfo=UTC) - start) // timedelta(microseconds=step_us) + 1
+    n = data.draw(st.integers(1, min(fits, 120)), label="n")
+    s = TimeSeries(start, step, np.zeros(n))
+    inside = data.draw(st.lists(st.sampled_from([t.date() for t in timestamps(s)])))
+    anywhere = data.draw(st.lists(st.dates()))
+    holidays = frozenset(inside + anywhere)
+    got, want = features(s, holidays), datetime_codes(s, holidays)
+    for kind in FEATURE_KINDS:
+        assert got[kind].dtype == np.int64, kind
+        assert got[kind].tolist() == want[kind], kind
+
+
+def test_day_codes_on_a_long_step_take_memory_by_points_not_days():
+    # 24,000 points 150 days apart span the whole datetime range, 3.6e6 days: a table
+    # over every day of the window would take 150 times the memory of the points
+    s = TimeSeries(datetime(1, 1, 1, tzinfo=UTC), 150 * 86400.0, np.zeros(24_000))
+    holidays = frozenset(t.date() for t in timestamps(s)[::7]) | {date(9999, 12, 31)}
+    kinds = ("month_of_year", "is_holiday")
+    tracemalloc.start()
+    try:
+        got = features(s, holidays, kinds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * len(s) * 8
+    want = datetime_codes(s, holidays)
+    for kind in kinds:
+        assert got[kind].tolist() == want[kind], kind
 
 
 # ---------------------------------------------------------------------------
