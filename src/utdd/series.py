@@ -84,7 +84,10 @@ def is_flat(values) -> bool:
     to rounding, count as flat.
     """
     arr = np.asarray(values, dtype=np.float64)
-    return float(arr.std()) < 1e-10 * (1.0 + abs(float(arr.mean())))
+    mean = arr.mean()
+    # bit for bit arr.std(), which would sum the array for its mean once more
+    std = np.sqrt(np.mean((arr - mean) ** 2))
+    return float(std) < 1e-10 * (1.0 + abs(float(mean)))
 
 
 def parse_utc(text: str) -> datetime:
@@ -251,7 +254,8 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     """
     us = series.epoch_us()
     if spec.kind == "hour_of_day":
-        return (us // _US_PER_HOUR) % 24
+        # the time of day by a floor division, about twice as fast as numpy's int64 remainder
+        return (us - us // _US_PER_DAY * _US_PER_DAY) // _US_PER_HOUR
     if spec.kind == "is_holiday" and spec.holiday_dates is None:
         raise InvalidArgumentError("is_holiday extraction requires holiday_dates")
     day = us // _US_PER_DAY  # days since 1970-01-01, ascending

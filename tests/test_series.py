@@ -22,6 +22,7 @@ from utdd import (
 from utdd.series import (
     FEATURE_KINDS,
     format_utc,
+    is_flat,
     parse_utc,
     read_timestamp_table,
     write_timestamp_table,
@@ -214,6 +215,31 @@ def test_diff_errors():
         diff(s, -1)
     with pytest.raises(InvalidArgumentError):
         diff(s, 3)
+
+
+def two_reduction_is_flat(values):
+    """The zero-variance rule as numpy's std and mean, each reducing the array for its mean."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.std()) < 1e-10 * (1.0 + abs(float(arr.mean())))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=9000),
+    level=st.one_of(st.just(0.0), st.floats(min_value=-1e12, max_value=1e12)),
+    ulps=st.integers(min_value=-8, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_is_flat_agrees_with_the_two_reduction_rule_at_its_threshold(n, level, ulps, seed):
+    # noise rescaled until its std meets 1e-10 * (1 + |mean|), then moved a few
+    # ulps off it: a few draws in 100 at level 0 land on the threshold exactly
+    noise = np.random.default_rng(seed).standard_normal(n)
+    scale = 1.0
+    for _ in range(3):
+        values = level + scale * noise
+        scale *= 1e-10 * (1.0 + abs(values.mean())) / (values.std() or 1.0)
+    values = level + scale * (1.0 + ulps * 2.0**-52) * noise
+    assert is_flat(values) == two_reduction_is_flat(values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from utdd import DegenerateInputError, InvalidArgumentError, TimeSeries
 from utdd.stationarity import (
     ADF_CRITICAL_5PCT,
+    _lag_gram,
     adf_test,
     ndiffs,
     ols,
@@ -34,33 +36,98 @@ def hourly(values):
 # OLS
 # ---------------------------------------------------------------------------
 
+def adf_design(x, lags):
+    """The ADF regression's design and target, built independently of adf_test."""
+    n = x.size
+    dx = np.diff(x)
+    cols = [np.ones(n - 1 - lags), x[lags : n - 1]]
+    cols += [dx[lags - i : n - 1 - i] for i in range(1, lags + 1)]
+    return np.column_stack(cols), dx[lags:]
+
+
+def exact_t_ratio(design, target):
+    """t-ratio of the second coefficient, in exact rational arithmetic on the float inputs.
+
+    Gauss-Jordan elimination of [X'X | X'y | e_2] gives beta and the second
+    column of (X'X)^-1; the square root is the only rounding.
+    """
+    cols = [[Fraction(v) for v in col] for col in design.T.tolist()]
+    ys = [Fraction(v) for v in target.tolist()]
+    n, k = len(ys), len(cols)
+    xty = [sum(a * b for a, b in zip(col, ys)) for col in cols]
+    aug = [
+        [sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(k)]
+        + [xty[i], Fraction(int(i == 1))]
+        for i in range(k)
+    ]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    beta = [row[k] for row in aug]
+    rss = sum(v * v for v in ys) - sum(b * v for b, v in zip(beta, xty))
+    t_squared = beta[1] ** 2 * (n - k) / (rss * aug[1][k + 1])
+    return math.copysign(math.sqrt(t_squared), beta[1])
+
+
 def test_ols_hand_computed_case():
-    # y = [1,2,3,5] on an intercept and a trend; solved by hand via the
-    # normal equations: X'X = [[4,6],[6,14]], X'y = [11,23],
-    # beta = [0.8, 1.3], RSS = 0.3, sigma2 = 0.15, diag((X'X)^-1) = [0.7, 0.2],
-    # so the trend's standard error is sqrt(0.15 * 0.2) = sqrt(0.03)
-    xy = np.column_stack([np.arange(4.0), [1.0, 2.0, 3.0, 5.0]])
-    assert_allclose(ols(xy), 1.3 / np.sqrt(0.03), rtol=0, atol=1e-12)
+    # a short integer series, whose t-ratio exact_t_ratio computes by hand:
+    # Gauss-Jordan elimination in rational arithmetic and one square root
+    x = np.array([3.0, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3])
+    for lags in (0, 1, 2):
+        assert_allclose(ols(x, lags), exact_t_ratio(*adf_design(x, lags)), rtol=0, atol=1e-12)
 
 
 def test_ols_matches_lstsq_on_random_problems():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        n, k = 40, 4
-        x = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
-        y = rng.normal(size=n)
-        want, *_ = np.linalg.lstsq(x, y, rcond=None)
+    for i in range(20):
+        noise = rng.normal(size=40)
+        x = np.cumsum(noise) if i % 2 else noise
+        design, y = adf_design(x, lags=i % 4)
+        want, *_ = np.linalg.lstsq(design, y, rcond=None)
         # textbook covariance: sigma2 * diag((X'X)^-1)
-        resid = y - x @ want
-        sigma2 = resid @ resid / (n - k)
-        se = np.sqrt(sigma2 * np.diag(np.linalg.inv(x.T @ x)))
-        assert_allclose(ols(np.column_stack([x[:, 1:], y])), want[1] / se[1], rtol=1e-9)
+        resid = y - design @ want
+        sigma2 = resid @ resid / (y.size - design.shape[1])
+        se = np.sqrt(sigma2 * np.diag(np.linalg.inv(design.T @ design)))
+        assert_allclose(ols(x, i % 4), want[1] / se[1], rtol=1e-9)
 
 
 def test_ols_rejects_collinear_design():
-    x = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
+    # the differences of a quadratic are a line, so each lagged difference is
+    # the last one minus a constant: with two lags and the constant, collinear
     with pytest.raises(DegenerateInputError):
-        ols(np.column_stack([x[:, 1:], np.arange(10.0)]))
+        ols(np.arange(20.0) ** 2, 2)
+
+
+@given(
+    n=st.integers(min_value=40, max_value=9000),
+    lags=st.integers(min_value=0, max_value=40),
+    walk=st.booleans(),
+    drift=st.floats(min_value=-10.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=40, lags=0, walk=False, drift=0.0, seed=0)
+@example(n=9000, lags=40, walk=True, drift=3.0, seed=1)
+@settings(max_examples=40, deadline=None)
+def test_lag_gram_is_the_gram_matrix_of_the_explicit_centred_design(n, lags, walk, drift, seed):
+    # the correlations, the shift recurrence and the rank-one mean correction
+    # against the product of the explicit matrix, to 1e-13 of its diagonal
+    nobs = n - 1 - lags
+    assume(nobs >= lags + 4)
+    noise = np.random.default_rng(seed).standard_normal(n)
+    x = (np.cumsum(noise) if walk else noise) + drift * np.arange(n)
+    level, d = x[lags : n - 1], np.diff(x)
+    gram, mean = _lag_gram(level, d, lags)
+    lagged = [d[lags - i : lags - i + nobs] for i in range(1, lags + 1)]
+    z = np.column_stack([level, *lagged, d[lags:]])
+    assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15 * np.abs(z).max())
+    z -= z.mean(axis=0)
+    want = z.T @ z
+    diagonal = want.diagonal()
+    assert np.all(np.abs(gram - want) <= 1e-13 * np.sqrt(np.outer(diagonal, diagonal)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,43 +272,6 @@ def test_adf_calls_cholesky_as_numpy_1_24_does(monkeypatch):
     assert adf_test(x).statistic == base
 
 
-def adf_design(x, lags):
-    """The ADF regression's design and target, built independently of adf_test."""
-    n = x.size
-    dx = np.diff(x)
-    cols = [np.ones(n - 1 - lags), x[lags : n - 1]]
-    cols += [dx[lags - i : n - 1 - i] for i in range(1, lags + 1)]
-    return np.column_stack(cols), dx[lags:]
-
-
-def exact_t_ratio(design, target):
-    """t-ratio of the second coefficient, in exact rational arithmetic on the float inputs.
-
-    Gauss-Jordan elimination of [X'X | X'y | e_2] gives beta and the second
-    column of (X'X)^-1; the square root is the only rounding.
-    """
-    cols = [[Fraction(v) for v in col] for col in design.T.tolist()]
-    ys = [Fraction(v) for v in target.tolist()]
-    n, k = len(ys), len(cols)
-    xty = [sum(a * b for a, b in zip(col, ys)) for col in cols]
-    aug = [
-        [sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(k)]
-        + [xty[i], Fraction(int(i == 1))]
-        for i in range(k)
-    ]
-    for c in range(k):
-        pivot = next(r for r in range(c, k) if aug[r][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        aug[c] = [v / aug[c][c] for v in aug[c]]
-        for r in range(k):
-            if r != c and aug[r][c] != 0:
-                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
-    beta = [row[k] for row in aug]
-    rss = sum(v * v for v in ys) - sum(b * v for b, v in zip(beta, xty))
-    t_squared = beta[1] ** 2 * (n - k) / (rss * aug[1][k + 1])
-    return math.copysign(math.sqrt(t_squared), beta[1])
-
-
 @given(
     n=st.integers(min_value=40, max_value=80),
     lags=st.integers(min_value=0, max_value=4),
@@ -377,9 +407,11 @@ def test_adf_takes_the_householder_branch_only_when_cholesky_qr2_is_unsafe(monke
 
 
 def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeypatch):
-    # Q'Q of a design whose first factor passed the guard is near the identity,
-    # so the second Cholesky fails only when made to
-    x = np.random.default_rng(8).standard_normal(500)
+    # Over-differenced noise has a unit root in its moving average, so its
+    # design's condition estimate (582) lies between the one-Cholesky bound and
+    # CholeskyQR2's guard.  Q'Q of a design whose first factor passed the guard
+    # is near the identity, so the second Cholesky fails only when made to.
+    x = np.diff(np.random.default_rng(8).standard_normal(501))
     base = adf_test(x).statistic
     cholesky, qr = np.linalg.cholesky, np.linalg.qr
     cholesky_calls, qr_calls = [], []
@@ -399,6 +431,34 @@ def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeyp
     statistic = adf_test(x).statistic
     assert len(cholesky_calls) == 2 and len(qr_calls) == 1
     assert abs(statistic - base) <= 1e-12 * max(abs(base), 1.0)
+
+
+def test_adf_factors_a_well_conditioned_bench_level_with_one_cholesky(monkeypatch):
+    # Every k = 0 level of the bench reference windows estimates its condition
+    # below 100, so the Cholesky factor of the lag-structure Gram matrix is R.
+    # The k = 1 levels of the random walks estimate 74 to 382; those past 100
+    # take CholeskyQR2's second pass, a second Cholesky.
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    max_diff = bench_workloads().MAX_DIFF
+    first, second = Counter(), Counter()
+    for seed in range(1, 11):
+        for window in bench_reference_windows(seed):
+            levels = [window.values]
+            if ndiffs(window, max_diff=max_diff).k == 1:
+                levels.append(np.diff(window.values))
+            for level, counts in zip(levels, (first, second)):
+                calls.clear()
+                adf_test(level)
+                counts[len(window), len(calls)] += 1
+    assert first == {(168, 1): 40, (504, 1): 90, (1344, 1): 40, (8760, 1): 40}
+    assert second == {(168, 1): 5, (168, 2): 2, (504, 2): 20, (1344, 2): 10, (8760, 2): 10}
 
 
 # ---------------------------------------------------------------------------
