@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, diff, is_flat, write_timestamp_table
-from .embeddings import BoostedModel, boosted_fit, boosted_predict, check_epsilon
+from .embeddings import BoostedModel, boosted_fit, boosted_predict
 from .stationarity import MIN_WINDOW_POINTS, ndiffs
-from .verdict import DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, check_threshold, detect
+from .verdict import DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, check_positive, detect
 
 __all__ = [
     "WindowFit",
@@ -77,7 +77,8 @@ def compute_zscore(residual: Sequence[float]) -> float:
 def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: Optional[float] = None,
                   max_diff: int = DEFAULT_MAX_DIFF) -> BoostedModel:
     """``features`` boosted on ``window`` differenced ``ndiffs`` times, epsilon checked before ADF."""
-    check_epsilon(epsilon)
+    if epsilon is not None:
+        check_positive(epsilon, "epsilon")
     k = ndiffs(window, max_diff=max_diff).k
     return boosted_fit(window, features, epsilon=epsilon, k_diffs=k)
 
@@ -121,7 +122,7 @@ def run_utdd(
             raise InvalidArgumentError(
                 f"{name} window has {len(window)} points; need at least {MIN_WINDOW_POINTS}"
             )
-    check_threshold(threshold)
+    check_positive(threshold, "threshold")
     model_ref = fit_reference(reference, features, epsilon=epsilon, max_diff=max_diff)
     k = model_ref.k_diffs
     model_cur = model_ref if reuse_model else boosted_fit(current, features, epsilon=epsilon, k_diffs=k)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, write_json
 from .series import FeatureSpec, TimeSeries, diff, extract_feature, is_flat
+from .verdict import check_positive
 
 __all__ = [
     "EmbeddingModel",
@@ -115,12 +116,6 @@ def fit_embedding(
     return EmbeddingModel(feature=spec, lookup=lookup, sse_reduction=sse_reduction)
 
 
-def check_epsilon(epsilon: Optional[float]) -> None:
-    """Refuse an epsilon other than None that is not positive and finite with :class:`InvalidArgumentError`."""
-    if epsilon is not None and not 0 < epsilon < math.inf:
-        raise InvalidArgumentError("epsilon must be positive and finite")
-
-
 def boosted_fit(
     series: TimeSeries,
     features: Sequence[FeatureSpec],
@@ -141,7 +136,8 @@ def boosted_fit(
     features = list(features)
     if not features:
         raise InvalidArgumentError("need at least one candidate feature")
-    check_epsilon(epsilon)
+    if epsilon is not None:
+        check_positive(epsilon, "epsilon")
     k_diffs = int(k_diffs)
     max_card = max(spec.cardinality for spec in features)
     if len(series) - k_diffs < 2 * max_card:
@@ -151,7 +147,7 @@ def boosted_fit(
         )
 
     work = diff(series, k_diffs)
-    residual = work.values.copy()
+    residual = work.values
     if is_flat(residual):
         return BoostedModel(
             stages=(), epsilon=float(epsilon) if epsilon is not None else 0.0, k_diffs=k_diffs

@@ -105,8 +105,8 @@ def parse_utc(text: str) -> datetime:
 
 
 def format_utc(dt: datetime) -> str:
-    """Render a datetime as ISO-8601 UTC with a ``Z`` suffix (microseconds only if nonzero)."""
-    return _coerce_utc(dt).replace(tzinfo=None).isoformat() + "Z"
+    """The CSV writer's text for ``dt``: ISO-8601 UTC, ``Z``, microseconds only if nonzero."""
+    return _format_stamps(np.array([utc_us(dt)]))[0]
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 
 
 def _format_stamps(us: np.ndarray) -> list[str]:
-    """:func:`format_utc` text of each epoch-microsecond value.
+    """ISO-8601 UTC text of each epoch-microsecond value, as in ``2020-08-01T00:00:00Z``.
 
     A grid repeats few dates and few times of day, so each distinct one is
     rendered once (with microseconds only where they are nonzero) and the

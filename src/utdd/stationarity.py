@@ -99,27 +99,6 @@ def _lag_gram(level: np.ndarray, d: np.ndarray, lags: int) -> tuple[np.ndarray, 
     return gram, mean
 
 
-def _second_pass(
-    z: np.ndarray, r1: np.ndarray, r1_inv: np.ndarray, norms: np.ndarray
-) -> Optional[np.ndarray]:
-    """R factor of ``z`` by CholeskyQR2's second pass, or None when its Cholesky fails.
-
-    ``R1`` is the Cholesky factor of ``z``'s Gram matrix with its columns
-    normalised by ``norms``, so ``Q = z diag(1/norms) inv(R1)``.  Q is formed a
-    block of rows at a time and only ``Q'Q`` is kept; its Cholesky factor R2
-    corrects R1's loss of orthogonality, and ``R = R2 R1 diag(norms)``.
-    """
-    to_q = r1_inv / norms[:, None]
-    gram = np.zeros_like(r1)
-    for start in range(0, z.shape[0], _BLOCK_ROWS):
-        q = z[start : start + _BLOCK_ROWS] @ to_q
-        gram += q.T @ q
-    try:
-        return np.linalg.cholesky(gram).T @ r1 * norms
-    except np.linalg.LinAlgError:
-        return None
-
-
 def ols(x: np.ndarray, lags: int) -> float:
     """t-ratio of ``gamma`` in the ADF regression of ``x`` with ``lags`` lagged differences.
 
@@ -172,13 +151,11 @@ def ols(x: np.ndarray, lags: int) -> float:
     try:
         # numpy's cholesky gives the lower factor; its transpose is the upper R1
         r1 = np.linalg.cholesky(gram / norms / norms[:, None]).T
-    except np.linalg.LinAlgError:
-        r1 = r1_inv = None
-        cond = np.inf
-    else:
         r1_inv = np.linalg.inv(r1)
         # the 1-norm of a matrix is its largest absolute column sum
         cond = np.abs(r1).sum(axis=0).max() * np.abs(r1_inv).sum(axis=0).max()
+    except np.linalg.LinAlgError:
+        cond = np.inf
     if cond <= _ONE_PASS_MAX_COND:
         r = r1 * norms
     else:
@@ -186,8 +163,19 @@ def ols(x: np.ndarray, lags: int) -> float:
         lagged = sliding_window_view(d, nobs)[::-1]
         z = np.vstack([level, lagged[1:], lagged[0]]).T
         z -= mean
-        r = _second_pass(z, r1, r1_inv, norms) if cond <= _CHOLESKY_QR_MAX_COND else None
-        if r is None:
+        if cond <= _CHOLESKY_QR_MAX_COND:
+            # CholeskyQR2's second pass: Q = z diag(1/norms) inv(R1) is formed a
+            # block of rows at a time and only Q'Q is kept; its Cholesky factor R2
+            # corrects R1's loss of orthogonality, and R = R2 R1 diag(norms)
+            to_q, qtq = r1_inv / norms[:, None], np.zeros_like(r1)
+            for start in range(0, nobs, _BLOCK_ROWS):
+                q = z[start : start + _BLOCK_ROWS] @ to_q
+                qtq += q.T @ q
+            try:
+                r = np.linalg.cholesky(qtq).T @ r1 * norms
+            except np.linalg.LinAlgError:
+                cond = np.inf
+        if not cond <= _CHOLESKY_QR_MAX_COND:  # written so that a NaN estimate lands here too
             r = np.linalg.qr(z, mode="r")
     rx, mean = r[:p, :p], mean[:p]
     scale = np.full(p, d_scale)

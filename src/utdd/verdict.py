@@ -3,7 +3,9 @@
 A report holds the differencing order, both window statistics and the
 verdict ``|z_curr - z_ref| >= threshold``.  This module also holds the
 defaults the command line shows before any command runs, so that
-``utdd report``, ``--help`` and usage errors start without numpy.
+``utdd report``, ``--help`` and usage errors start without numpy, and the
+package's one rule for a parameter that must be positive and finite
+(the threshold and epsilon).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .jsondoc import json_object, json_version, write_json
 
 __all__ = [
     "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD", "REPORT_FORMAT_VERSION",
-    "DriftReport", "check_threshold", "detect", "report_from_dict", "save_report", "load_report",
+    "DriftReport", "check_positive", "detect", "report_from_dict", "save_report", "load_report",
 ]
 
 # Coarse-to-fine calendar structure.
@@ -31,15 +33,15 @@ DEFAULT_THRESHOLD = 0.1
 REPORT_FORMAT_VERSION = 2
 
 
-def check_threshold(threshold: float) -> None:
-    """Refuse a threshold that is not positive and finite with :class:`InvalidArgumentError`."""
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise InvalidArgumentError("threshold must be positive and finite")
+def check_positive(value: float, name: str) -> None:
+    """Refuse a ``value`` that is not positive and finite with :class:`InvalidArgumentError`."""
+    if not 0 < value < math.inf:
+        raise InvalidArgumentError(f"{name} must be positive and finite")
 
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
     """Drift verdict: ``|z_curr - z_ref| >= threshold`` (threshold must be positive and finite)."""
-    check_threshold(threshold)
+    check_positive(threshold, "threshold")
     return abs(z_curr - z_ref) >= threshold
 
 

@@ -7,6 +7,8 @@ import json
 import os
 import pkgutil
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import utdd
+from utdd.cli import main
 from utdd.stationarity import ols
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +30,13 @@ REMOVED = {
              "ols", "OlsFit",  # utdd.stationarity.ols returns the t-ratio adf_test reads
              "schwert_lags",  # adf_test(...).lags_used
              "predict_embedding"),  # EmbeddingModel.lookup[codes]
-    "utdd.drift": ("utdd", "report_to_dict"),  # save_report
-    "utdd.embeddings": ("training_residual", "_stage_spec", "predict_embedding"),
-    "utdd.stationarity": ("OlsFit", "schwert_lags"),
+    "utdd.drift": ("utdd", "report_to_dict",  # save_report
+                   "check_epsilon", "check_threshold"),  # utdd.verdict.check_positive
+    "utdd.embeddings": ("training_residual", "_stage_spec", "predict_embedding",
+                        "check_epsilon"),  # utdd.verdict.check_positive
+    "utdd.verdict": ("check_threshold",),  # check_positive
+    "utdd.stationarity": ("OlsFit", "schwert_lags",
+                          "_second_pass"),  # inlined in ols
     "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
                     "ResidualStats", "residual_stats"),
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
@@ -67,6 +74,53 @@ def test_readme_lists_exactly_the_exported_names():
     section = text[text.index("The package exports exactly these pieces:"):]
     section = section[: section.index("\n\n", section.index("\n- "))]
     assert set(re.findall(r"`(\w+)`", section)) == set(utdd.__all__)
+
+
+def _same_lines(found, want):
+    """Lines equal token by token, decimal fractions within 1e-12 relative."""
+    assert len(found) == len(want), (found, want)
+    for found_line, want_line in zip(found, want):
+        assert len(found_line.split()) == len(want_line.split()), (found_line, want_line)
+        for got, token in zip(found_line.split(), want_line.split()):
+            if re.fullmatch(r"-?\d+\.\d+(e[-+]?\d+)?", token):
+                assert float(got) == pytest.approx(float(token), rel=1e-12, abs=0), found_line
+            else:
+                assert got == token, (found_line, want_line)
+
+
+def test_readme_round_trip_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = {lang: re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+              for lang in ("sh", "text", "json", "python")}
+    shell = "".join(blocks["sh"]).replace("\\\n", " ").splitlines()
+    simulate, detect, fit = (shlex.split(line)[1:] for line in shell if line.startswith("utdd "))
+    simulated = re.search(r"^# (simulated .*)$", text, re.M).group(1)
+    detect_code = int(re.search(r"^echo \$\?\s+# (\d+)", text, re.M).group(1))
+    want = json.loads(blocks["json"][0])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    shutil.copy(ROOT / "configs" / "fixture.json", tmp_path / "configs")
+
+    assert main(simulate) == 0
+    assert capsys.readouterr().out.splitlines()[0] == simulated
+    assert main(detect) == detect_code == 1
+    capsys.readouterr()
+    found = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert set(found) == set(want)
+    for key in ("version", "k_diffs", "threshold", "drifted"):
+        assert found[key] == want[key], key
+    for key in ("z_ref", "z_curr", "delta"):
+        assert found[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+    assert main(fit) == 0
+    _same_lines(capsys.readouterr().out.splitlines(), blocks["text"][0].splitlines())
+
+    library = blocks["python"][0]
+    exec(compile(library, "README.md", "exec"), {})
+    drifted, delta = capsys.readouterr().out.split()
+    shown_drifted, shown_delta = re.search(r"# (\w+) ([\d.]+)$", library, re.M).groups()
+    assert drifted == shown_drifted == str(want["drifted"])
+    assert float(delta) == pytest.approx(want["delta"], rel=1e-12, abs=0)
+    assert f"{float(delta):.{len(shown_delta) - 2}f}" == shown_delta
 
 
 def test_ols_returns_one_float_and_stays_unexported():
