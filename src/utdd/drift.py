@@ -143,14 +143,10 @@ def run_utdd(
 
 def write_residual_csv(fit: WindowFit, path) -> None:
     """Plot-ready ``timestamp,residual`` rows for one window."""
-    write_timestamp_table(path, ["residual"], fit.grid.epoch_us(), [fit.residual])
+    write_timestamp_table(path, fit.grid, {"residual": fit.residual})
 
 
 def write_fit_csv(fit: WindowFit, path) -> None:
     """Plot-ready ``timestamp,observed,seasonal,residual`` rows for one window."""
-    write_timestamp_table(
-        path,
-        ["observed", "seasonal", "residual"],
-        fit.grid.epoch_us(),
-        [fit.grid.values, fit.seasonal, fit.residual],
-    )
+    columns = {"observed": fit.grid.values, "seasonal": fit.seasonal, "residual": fit.residual}
+    write_timestamp_table(path, fit.grid, columns)

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ _US_PER_HOUR = 3_600 * _US_PER_SECOND
 _US_PER_DAY = 24 * _US_PER_HOUR
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_US = timedelta(microseconds=1)
-_MIN_US = (datetime.min.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 
 
@@ -285,12 +284,13 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 # All files share one layout: a `timestamp,<name>[,<name>...]` header followed
 # by rows of an ISO-8601 UTC timestamp and floats rendered with the shortest
 # round-trip repr, so write -> read -> write is byte-identical for data rows.
-# The writer renders timestamps with `np.datetime_as_string`, once per distinct
-# date and time of day.  `_read_rows` reads one row at a time and so defines
+# The writer takes a `TimeSeries` grid, so its stamps are in range by
+# construction, and renders them with `np.datetime_as_string`, once per
+# distinct date and time of day.  The reader checks the header and that a row
+# follows before it reads any row.  `_read_rows` reads one row at a time, each
+# field in order and the grid of the first two rows with it, and so defines
 # every row error and its line; `_read_grid` returns the same for a file the
-# writer could have written, in a few whole-column steps, and None for any
-# other.  The column names, the row count, the step and the grid are checked
-# after either, once.
+# writer could have written, in a few whole-column steps, and None for any other.
 # ---------------------------------------------------------------------------
 
 
@@ -314,29 +314,15 @@ def _format_stamps(us: np.ndarray) -> list[str]:
     return [dates[i] + clock[j] for i, j in zip(day_index.tolist(), time_index.tolist())]
 
 
-def write_timestamp_table(
-    path,
-    columns: Sequence[str],
-    stamps: np.ndarray,
-    arrays: Sequence[np.ndarray],
-) -> None:
-    """Write a ``timestamp,...`` CSV with one float column per entry in ``columns``.
+def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarray]) -> None:
+    """Write a ``timestamp,...`` CSV with a row per point of ``grid``.
 
-    ``stamps`` are the rows' times in microseconds since the Unix epoch, as
-    returned by :meth:`TimeSeries.epoch_us` and :func:`read_timestamp_table`.
+    Each entry of ``columns`` is a column name and its floats, one per point.
     """
-    if len(columns) != len(arrays) or not columns:
-        raise InvalidArgumentError("need one array per named column")
-    stamps = np.asarray(stamps, dtype=np.int64)
-    if stamps.size and not (_MIN_US <= stamps.min() and stamps.max() <= _MAX_US):
-        raise InvalidArgumentError(
-            f"timestamps must lie from {format_utc(datetime.min)} to {format_utc(datetime.max)}"
-        )
-    fields = [_format_stamps(stamps)]
-    fields.extend(list(map(repr, np.asarray(arr, dtype=np.float64).tolist())) for arr in arrays)
-    if any(len(col) != len(fields[0]) for col in fields):
-        raise InvalidArgumentError("need one value per timestamp in every column")
-    text = "\n".join(["timestamp," + ",".join(columns), *map(",".join, zip(*fields)), ""])
+    fields = [_format_stamps(grid.epoch_us())]
+    fields += [list(map(repr, np.asarray(a, np.float64).tolist())) for a in columns.values()]
+    rows = map(",".join, zip(*fields, strict=True))
+    text = "\n".join(["timestamp," + ",".join(columns), *rows, ""])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -346,7 +332,11 @@ _NUMBERS = re.compile(rf"(?:{_NUMBER}\n)*{_NUMBER}")
 
 
 def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch-microsecond stamps and values of each row; raises at the first faulty row."""
+    """Epoch-microsecond stamps and values of each row; raises at the first faulty row.
+
+    A row's fields are checked in order: their count, the timestamp, its place
+    on the grid of the first two rows, then the values.
+    """
     stamps, data = [], []
     for line_no, line in enumerate(body, start=2):
         fields = line.split(",")
@@ -354,9 +344,15 @@ def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
             message = f"expected {ncols} fields, found {len(fields)}" if line else "blank line"
             raise CsvFormatError(message, line=line_no)
         try:
-            stamps.append(utc_us(parse_utc(fields[0])))
+            stamp = utc_us(parse_utc(fields[0]))
         except ValueError:
             raise CsvFormatError(f"bad timestamp {fields[0]!r}", line=line_no) from None
+        if len(stamps) == 1 and stamp <= stamps[0]:
+            raise CsvFormatError("timestamps must be strictly ascending", line=line_no)
+        if len(stamps) > 1 and stamp != (want := stamps[-1] + stamps[1] - stamps[0]):
+            want, found = _format_stamps(np.array([want, stamp]))
+            raise CsvFormatError(f"expected timestamp {want}, found {found}", line=line_no)
+        stamps.append(stamp)
         if not _NUMBERS.fullmatch("\n".join(fields[1:])):
             raise CsvFormatError("bad numeric value", line=line_no)
         row = [float(v) for v in fields[1:]]
@@ -368,7 +364,7 @@ def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_grid(body: list[str], ncols: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """What :func:`_read_rows` returns, if the rows (two or more) have finite values and
-    the stamps are the writer's text of the grid of the first two; else None."""
+    the stamps are the writer's text of the ascending grid of the first two; else None."""
     if len(body) < 2 or any(line.count(",") != ncols - 1 for line in body):
         return None
     fields = ",".join(body).split(",")
@@ -382,22 +378,19 @@ def _read_grid(body: list[str], ncols: int) -> Optional[tuple[np.ndarray, np.nda
         return None
     data = np.column_stack([list(map(float, column)) for column in columns])
     grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
-    if not np.isfinite(data).all() or _format_stamps(grid) != stamps:
+    if second <= first or not np.isfinite(data).all() or _format_stamps(grid) != stamps:
         return None
     return grid, data
 
 
-def read_timestamp_table(
-    path, columns: Optional[Sequence[str]] = None
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Parse a ``timestamp,...`` CSV written by :func:`write_timestamp_table`.
+def read_timestamp_table(path, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``timestamp,<columns>`` CSV written by :func:`write_timestamp_table`.
 
-    Returns ``(column names, stamps, data)``: ``stamps`` are epoch
-    microseconds (int64) and ``data`` has shape ``(n_rows, n_columns)``.  The
-    rows must lie on a regular, strictly ascending grid.  When ``columns`` is
-    given the names must equal it and at least one data row must exist.
-    Raises :class:`CsvFormatError` naming the offending line on malformed
-    content.
+    Returns ``(stamps, data)``: ``stamps`` are epoch microseconds (int64) and
+    ``data`` has shape ``(n_rows, len(columns))``.  At least one row must
+    follow the header, and the rows must lie on a regular, strictly ascending
+    grid.  Raises :class:`CsvFormatError` naming the first offending line:
+    the header is checked before any row, and each row before the next.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -406,23 +399,11 @@ def read_timestamp_table(
     header = lines[0].split(",")
     if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
         raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
-    stamps, data = _read_grid(lines[1:], len(header)) or _read_rows(lines[1:], len(header))
-
-    if columns is not None:
-        if header[1:] != list(columns):
-            names = ",".join(["timestamp", *columns])
-            raise CsvFormatError(f"expected header {names!r}", line=1)
-        if not len(stamps):
-            raise CsvFormatError("no data rows", line=2)
-    if len(stamps) > 1:
-        if stamps[1] <= stamps[0]:
-            raise CsvFormatError("timestamps must be strictly ascending", line=3)
-        grid = stamps[0] + np.arange(len(stamps), dtype=np.int64) * (stamps[1] - stamps[0])
-        i = int(np.argmax(stamps != grid))
-        if stamps[i] != grid[i]:
-            want, found = _format_stamps(np.array([grid[i], stamps[i]]))
-            raise CsvFormatError(f"expected timestamp {want}, found {found}", line=i + 2)
-    return header[1:], stamps, data
+    if header[1:] != list(columns):
+        raise CsvFormatError(f"expected header {','.join(['timestamp', *columns])!r}", line=1)
+    if len(lines) < 2:
+        raise CsvFormatError("no data rows", line=2)
+    return _read_grid(lines[1:], len(header)) or _read_rows(lines[1:], len(header))
 
 
 def read_series_csv(path) -> TimeSeries:
@@ -431,7 +412,7 @@ def read_series_csv(path) -> TimeSeries:
     Rows must be strictly ascending with a constant step.  A single-row file
     yields a series with the documented fallback step of one second.
     """
-    _, stamps, data = read_timestamp_table(path, ["value"])
+    stamps, data = read_timestamp_table(path, ["value"])
     start = _EPOCH + timedelta(microseconds=int(stamps[0]))
     step = (int(stamps[1]) - int(stamps[0])) / _US_PER_SECOND if len(stamps) > 1 else 1.0
     return TimeSeries(start, step, data[:, 0])
@@ -439,4 +420,4 @@ def read_series_csv(path) -> TimeSeries:
 
 def write_series_csv(series: TimeSeries, path) -> None:
     """Write a series in the standard ``timestamp,value`` format."""
-    write_timestamp_table(path, ["value"], series.epoch_us(), [series.values])
+    write_timestamp_table(path, series, {"value": series.values})

@@ -433,8 +433,7 @@ def test_fit_csv_and_residual_csv(tmp_path):
     write_fit_csv(res.current, fit_path)
     write_residual_csv(res.current, resid_path)
 
-    cols, ts, data = read_timestamp_table(fit_path)
-    assert cols == ["observed", "seasonal", "residual"]
+    ts, data = read_timestamp_table(fit_path, ["observed", "seasonal", "residual"])
     assert len(ts) == len(res.current.grid)
     assert_array_equal(data[:, 0], res.current.grid.values)
     assert_array_equal(data[:, 1], res.current.seasonal)
@@ -442,8 +441,7 @@ def test_fit_csv_and_residual_csv(tmp_path):
     # the decomposition identity holds row by row
     assert_allclose(data[:, 0], data[:, 1] + data[:, 2], atol=0)
 
-    cols, ts, data = read_timestamp_table(resid_path)
-    assert cols == ["residual"]
+    ts, data = read_timestamp_table(resid_path, ["residual"])
     assert_array_equal(data[:, 0], res.current.residual)
 
 
@@ -452,9 +450,11 @@ def test_fit_csv_rewrite_is_byte_identical(tmp_path):
     res = run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS)
     p1 = tmp_path / "fit1.csv"
     write_fit_csv(res.current, p1)
-    cols, ts, data = read_timestamp_table(p1)
+    columns = ["observed", "seasonal", "residual"]
+    ts, data = read_timestamp_table(p1, columns)
+    assert_array_equal(ts, res.current.grid.epoch_us())
     from utdd.series import write_timestamp_table
 
     p2 = tmp_path / "fit2.csv"
-    write_timestamp_table(p2, cols, ts, [data[:, i] for i in range(data.shape[1])])
+    write_timestamp_table(p2, res.current.grid, dict(zip(columns, data.T)))
     assert p1.read_bytes() == p2.read_bytes()
