@@ -3,7 +3,7 @@
 Subcommands::
 
     utdd simulate --config cfg.json --out series.csv
-    utdd fit      --input series.csv --from ISO --to ISO --features LIST \
+    utdd fit      --input series.csv --from ISO --to ISO [--features LIST] \
                   [--holidays DATES] [--epsilon F] [--max-diff N] --model-out model.json
     utdd detect   --input series.csv --ref-from ISO --ref-to ISO \
                   --cur-from ISO --cur-to ISO [--threshold F] [--reuse-model] \
@@ -85,18 +85,15 @@ def _number(convert):
 _INT, _FLOAT = _number(int), _number(float)
 
 
-def _parse_holidays(text: Optional[str]) -> frozenset:
-    if not text:
-        return frozenset()
+def _features(args: argparse.Namespace) -> tuple:
+    """The feature specs of ``--features``, with ``--holidays`` given to ``is_holiday``."""
+    days = args.holidays.split(",") if args.holidays else []
     try:
-        return frozenset(date.fromisoformat(tok.strip()) for tok in text.split(","))
+        holidays = frozenset(date.fromisoformat(day.strip()) for day in days)
     except ValueError as exc:
         raise InvalidArgumentError(f"--holidays: {exc}") from None
-
-
-def _parse_features(text: str, holidays: frozenset) -> tuple:
     specs = []
-    for token in text.split(","):
+    for token in args.features.split(","):
         kind = token.strip()
         if not kind:
             raise InvalidArgumentError("--features contains an empty entry")
@@ -151,7 +148,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     _load("series", "embeddings", "drift")
     series = read_series_csv(args.input)
     window = _window(series, args.window_from, args.window_to, "--from/--to")
-    features = _parse_features(args.features, _parse_holidays(args.holidays))
+    features = _features(args)
     model = fit_reference(window, features, epsilon=args.epsilon, max_diff=args.max_diff)
     save_model(model, args.model_out)
     if not model.stages:
@@ -174,7 +171,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     series = read_series_csv(args.input)
     reference = _window(series, args.ref_from, args.ref_to, "--ref-from/--ref-to")
     current = _window(series, args.cur_from, args.cur_to, "--cur-from/--cur-to")
-    features = _parse_features(args.features, _parse_holidays(args.holidays))
+    features = _features(args)
     result = run_utdd(
         reference,
         current,
@@ -217,6 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     window_fit = argparse.ArgumentParser(add_help=False)
     window_fit.add_argument("--input", required=True, help="input series CSV")
+    window_fit.add_argument(
+        "--features",
+        default=",".join(DEFAULT_FEATURE_ORDER),
+        help="comma-separated feature kinds (default %(default)s)",
+    )
     window_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
     window_fit.add_argument("--epsilon", type=_FLOAT, help="stage termination threshold")
     window_fit.add_argument("--max-diff", type=_INT, default=DEFAULT_MAX_DIFF,
@@ -225,11 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", parents=[window_fit], help="fit a seasonal model on one window")
     p_fit.add_argument("--from", dest="window_from", required=True, metavar="ISO")
     p_fit.add_argument("--to", dest="window_to", required=True, metavar="ISO")
-    p_fit.add_argument(
-        "--features",
-        required=True,
-        help="comma-separated feature kinds, e.g. day_of_week,hour_of_day",
-    )
     p_fit.add_argument("--model-out", required=True, help="output model JSON path")
     p_fit.set_defaults(handler=cmd_fit)
 
@@ -250,11 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reuse-model",
         action="store_true",
         help="deseasonalize the current window with the reference model",
-    )
-    p_det.add_argument(
-        "--features",
-        default=",".join(DEFAULT_FEATURE_ORDER),
-        help="comma-separated feature kinds (default %(default)s)",
     )
     p_det.add_argument("--report-out", required=True, help="output report JSON path")
     p_det.set_defaults(handler=cmd_detect)

@@ -281,16 +281,14 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV I/O
 #
-# All files share one layout: a `timestamp,<name>[,<name>...]` header followed
-# by rows of an ISO-8601 UTC timestamp and floats rendered with the shortest
-# round-trip repr, so write -> read -> write is byte-identical for data rows.
-# The writer takes a `TimeSeries` grid, so its stamps are in range by
-# construction, and renders them with `np.datetime_as_string`, once per
-# distinct date and time of day.  The reader checks the header and that a row
-# follows before it reads any row.  `_read_rows` reads one row at a time, each
-# field in order and the grid of the first two rows with it, and so defines
-# every row error and its line; `_read_grid` returns the same for a file the
-# writer could have written, in a few whole-column steps, and None for any other.
+# All files share one layout: the `_header` of their column names, then one row
+# per point of an ISO-8601 UTC timestamp and floats in the shortest round-trip
+# repr, so write -> read -> write is byte-identical for data rows.  The reader
+# compares line 1 with the `_header` it expects and checks that a row follows
+# before it reads any row.  `_read_rows` reads one row at a time, each field in
+# order and the grid of the first two rows with it, and so defines every row
+# error and its line; `_read_grid` returns the same for a file the writer could
+# have written, in a few whole-column steps, and None for any other.
 # ---------------------------------------------------------------------------
 
 
@@ -314,15 +312,19 @@ def _format_stamps(us: np.ndarray) -> list[str]:
     return [dates[i] + clock[j] for i, j in zip(day_index.tolist(), time_index.tolist())]
 
 
-def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarray]) -> None:
-    """Write a ``timestamp,...`` CSV with a row per point of ``grid``.
+def _header(columns) -> str:
+    """The header line of a table of ``columns``, one or more names: ``timestamp,<names>``."""
+    if not columns:
+        raise InvalidArgumentError("a timestamp table needs at least one value column")
+    return ",".join(["timestamp", *columns])
 
-    Each entry of ``columns`` is a column name and its floats, one per point.
-    """
+
+def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarray]) -> None:
+    """Write a CSV row per point of ``grid``; ``columns`` maps each name to its floats."""
     fields = [_format_stamps(grid.epoch_us())]
     fields += [list(map(repr, np.asarray(a, np.float64).tolist())) for a in columns.values()]
     rows = map(",".join, zip(*fields, strict=True))
-    text = "\n".join(["timestamp," + ",".join(columns), *rows, ""])
+    text = "\n".join([_header(columns), *rows, ""])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -392,18 +394,17 @@ def read_timestamp_table(path, columns: Sequence[str]) -> tuple[np.ndarray, np.n
     grid.  Raises :class:`CsvFormatError` naming the first offending line:
     the header is checked before any row, and each row before the next.
     """
+    header = _header(columns)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CsvFormatError("file is empty", line=1)
-    header = lines[0].split(",")
-    if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
-        raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
-    if header[1:] != list(columns):
-        raise CsvFormatError(f"expected header {','.join(['timestamp', *columns])!r}", line=1)
+    if lines[0] != header:
+        raise CsvFormatError(f"expected header {header!r}", line=1)
     if len(lines) < 2:
         raise CsvFormatError("no data rows", line=2)
-    return _read_grid(lines[1:], len(header)) or _read_rows(lines[1:], len(header))
+    ncols = len(columns) + 1
+    return _read_grid(lines[1:], ncols) or _read_rows(lines[1:], ncols)
 
 
 def read_series_csv(path) -> TimeSeries:

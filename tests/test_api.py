@@ -140,12 +140,14 @@ def test_every_bench_probe_resolves():
         assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
 
 
-def test_traced_bench_smoke_run_is_correct(tmp_path):
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_traced_bench_smoke_run_is_correct(tmp_path, trace):
     """Every expected span fires and every oracle check passes, which a probe that
-    merely resolves does not show: a call routed through a local binding skips its probe."""
+    merely resolves does not show: a call routed through a local binding skips its probe.
+    Untraced, the run also measures setup, peak RSS and the untraced latencies."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "all", "--seed", "1", "--seconds", "0.1",
-         "--trace", "1", "--out", str(tmp_path / "bench.json")],
+         "--trace", trace, "--out", str(tmp_path / "bench.json")],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

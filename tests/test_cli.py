@@ -293,8 +293,9 @@ HOLIDAYS = "2020-08-10,2020-08-24,2020-09-07,2020-09-21"
          ("day_of_week", "hour_of_day"), {"epsilon": 1e-3}),
         (["--features", "day_of_week,hour_of_day", "--max-diff", "0"],
          ("day_of_week", "hour_of_day"), {"max_diff": 0}),
+        ([], utdd.DEFAULT_FEATURE_ORDER, {}),
     ],
-    ids=["readme", "holidays", "epsilon", "max-diff-0"],
+    ids=["readme", "holidays", "epsilon", "max-diff-0", "defaults"],
 )
 def test_fit_saves_the_reference_model_of_run_utdd(fixture_csv, tmp_path, capsys, flags, features,
                                                      kwargs):
@@ -306,7 +307,8 @@ def test_fit_saves_the_reference_model_of_run_utdd(fixture_csv, tmp_path, capsys
     series = read_series_csv(fixture_csv)
     start, end = (parse_utc(text) for text in FIT_WINDOW[1::2])
     reference = series.window(start, end)
-    holidays = frozenset(date.fromisoformat(day) for day in HOLIDAYS.split(","))
+    days = HOLIDAYS.split(",") if "--holidays" in flags else []
+    holidays = frozenset(date.fromisoformat(day) for day in days)
     specs = [utdd.FeatureSpec(kind, holiday_dates=holidays if kind == "is_holiday" else None)
              for kind in features]
     result = utdd.run_utdd(reference, reference, specs, **kwargs)

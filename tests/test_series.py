@@ -577,6 +577,23 @@ def test_timestamp_table_renders_the_datetime_range_edges(tmp_path):
         assert_array_equal(read_timestamp_table(path, ["x"])[0], grid.epoch_us())
 
 
+def test_timestamp_table_header_is_one_rule(tmp_path):
+    # writer and reader share one header: a table without value columns is refused both ways
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidArgumentError, match="at least one value column"):
+        write_timestamp_table(path, hourly(np.zeros(2)), {})
+    assert not path.exists()
+    path.write_text("timestamp\n2020-08-01T00:00:00Z\n")
+    with pytest.raises(InvalidArgumentError, match="at least one value column"):
+        read_timestamp_table(path, [])
+    # and every other header is refused with the one expected
+    for header in ("time,value", "timestamp", "timestamp,value,", "timestamp,,value"):
+        path.write_text(header + "\n2020-08-01T00:00:00Z,1.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_timestamp_table(path, ["value"])
+        assert str(err.value) == "line 1: expected header 'timestamp,value'"
+
+
 def test_timestamp_table_writer_needs_one_value_per_point(tmp_path):
     path = tmp_path / "out.csv"
     for values in (np.zeros(1), np.zeros(3)):
@@ -693,11 +710,9 @@ def test_reader_accepts_every_utc_spelling(tmp_path_factory, s, data):
 def per_row_read(text, columns):
     """A row-at-a-time reader: ``(timestamps, rows)``, or raises its CsvFormatError."""
     lines = text.splitlines()
-    header = lines[0].split(",")
-    if header[0] != "timestamp" or len(header) < 2 or any(not c for c in header[1:]):
-        raise CsvFormatError("expected header 'timestamp,<name>[,...]'", line=1)
-    if header[1:] != columns:
-        raise CsvFormatError(f"expected header {','.join(['timestamp', *columns])!r}", line=1)
+    header = ["timestamp", *columns]
+    if lines[0] != ",".join(header):
+        raise CsvFormatError(f"expected header {','.join(header)!r}", line=1)
     if len(lines) < 2:
         raise CsvFormatError("no data rows", line=2)
     timestamps, rows = [], []
