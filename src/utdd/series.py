@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "check_grid",
     "read_series_csv",
     "write_series_csv",
-    "read_timestamp_table",
     "write_timestamp_table",
 ]
 
@@ -284,11 +283,11 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 # All files share one layout: the `_header` of their column names, then one row
 # per point of an ISO-8601 UTC timestamp and floats in the shortest round-trip
 # repr, so write -> read -> write is byte-identical for data rows.  The reader
-# compares line 1 with the `_header` it expects and checks that a row follows
-# before it reads any row.  `_read_rows` reads one row at a time, each field in
-# order and the grid of the first two rows with it, and so defines every row
-# error and its line; `_read_grid` returns the same for a file the writer could
-# have written, in a few whole-column steps, and None for any other.
+# takes `timestamp,value` files: it checks line 1 against their `_header`, and
+# that a row follows, before it reads any row.  `_read_rows` reads one row at a
+# time, each field in order and the grid of the first two rows with it, and so
+# defines every row error and its line; `_read_grid` returns the same for a file
+# the writer could have written, in a few whole-column steps, and None otherwise.
 # ---------------------------------------------------------------------------
 
 
@@ -329,21 +328,21 @@ def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarr
         fh.write(text)
 
 
-# The value texts both readers accept, one per line.
+# The value texts the reader accepts, one per line.
 _NUMBERS = re.compile(rf"(?:{_NUMBER}\n)*{_NUMBER}")
 
 
-def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Epoch-microsecond stamps and values of each row; raises at the first faulty row.
 
     A row's fields are checked in order: their count, the timestamp, its place
-    on the grid of the first two rows, then the values.
+    on the grid of the first two rows, then the value.
     """
-    stamps, data = [], []
+    stamps, values = [], []
     for line_no, line in enumerate(body, start=2):
         fields = line.split(",")
-        if len(fields) != ncols:
-            message = f"expected {ncols} fields, found {len(fields)}" if line else "blank line"
+        if len(fields) != 2:
+            message = f"expected 2 fields, found {len(fields)}" if line else "blank line"
             raise CsvFormatError(message, line=line_no)
         try:
             stamp = utc_us(parse_utc(fields[0]))
@@ -355,46 +354,45 @@ def _read_rows(body: list[str], ncols: int) -> tuple[np.ndarray, np.ndarray]:
             want, found = _format_stamps(np.array([want, stamp]))
             raise CsvFormatError(f"expected timestamp {want}, found {found}", line=line_no)
         stamps.append(stamp)
-        if not _NUMBERS.fullmatch("\n".join(fields[1:])):
+        if not _NUMBERS.fullmatch(fields[1]):
             raise CsvFormatError("bad numeric value", line=line_no)
-        row = [float(v) for v in fields[1:]]
-        if not all(map(math.isfinite, row)):
+        value = float(fields[1])
+        if not math.isfinite(value):
             raise CsvFormatError("non-finite value", line=line_no)
-        data.append(row)
-    return np.array(stamps, dtype=np.int64), np.array(data).reshape(len(body), ncols - 1)
+        values.append(value)
+    return np.array(stamps, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
-def _read_grid(body: list[str], ncols: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _read_grid(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """What :func:`_read_rows` returns, if the rows (two or more) have finite values and
     the stamps are the writer's text of the ascending grid of the first two; else None."""
-    if len(body) < 2 or any(line.count(",") != ncols - 1 for line in body):
+    if len(body) < 2 or any(line.count(",") != 1 for line in body):
         return None
     fields = ",".join(body).split(",")
-    stamps, columns = fields[0::ncols], [fields[j::ncols] for j in range(1, ncols)]
-    if not all(_NUMBERS.fullmatch("\n".join(column)) for column in columns):
+    stamps, values = fields[0::2], fields[1::2]
+    if not _NUMBERS.fullmatch("\n".join(values)):
         return None
     try:
         first, second = (utc_us(parse_utc(text)) for text in stamps[:2])
         parse_utc(stamps[-1])  # the last stamp keeps the whole grid in datetime's range
     except ValueError:
         return None
-    data = np.column_stack([list(map(float, column)) for column in columns])
+    data = np.array(list(map(float, values)))
     grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
     if second <= first or not np.isfinite(data).all() or _format_stamps(grid) != stamps:
         return None
     return grid, data
 
 
-def read_timestamp_table(path, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``timestamp,<columns>`` CSV written by :func:`write_timestamp_table`.
+def read_series_csv(path) -> TimeSeries:
+    """Read a ``timestamp,value`` CSV into a :class:`TimeSeries`.
 
-    Returns ``(stamps, data)``: ``stamps`` are epoch microseconds (int64) and
-    ``data`` has shape ``(n_rows, len(columns))``.  At least one row must
-    follow the header, and the rows must lie on a regular, strictly ascending
-    grid.  Raises :class:`CsvFormatError` naming the first offending line:
-    the header is checked before any row, and each row before the next.
+    At least two rows must follow the header, since one stamp gives no step,
+    and the rows must lie on a regular, strictly ascending grid.  Raises
+    :class:`CsvFormatError` naming the first offending line: the header is
+    checked before any row, and each row before the next.
     """
-    header = _header(columns)
+    header = _header(["value"])
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -403,20 +401,11 @@ def read_timestamp_table(path, columns: Sequence[str]) -> tuple[np.ndarray, np.n
         raise CsvFormatError(f"expected header {header!r}", line=1)
     if len(lines) < 2:
         raise CsvFormatError("no data rows", line=2)
-    ncols = len(columns) + 1
-    return _read_grid(lines[1:], ncols) or _read_rows(lines[1:], ncols)
-
-
-def read_series_csv(path) -> TimeSeries:
-    """Read a ``timestamp,value`` CSV into a :class:`TimeSeries`.
-
-    Rows must be strictly ascending with a constant step.  A single-row file
-    yields a series with the documented fallback step of one second.
-    """
-    stamps, data = read_timestamp_table(path, ["value"])
+    stamps, values = _read_grid(lines[1:]) or _read_rows(lines[1:])
+    if len(stamps) < 2:
+        raise CsvFormatError("one data row gives no step; need two or more", line=3)
     start = _EPOCH + timedelta(microseconds=int(stamps[0]))
-    step = (int(stamps[1]) - int(stamps[0])) / _US_PER_SECOND if len(stamps) > 1 else 1.0
-    return TimeSeries(start, step, data[:, 0])
+    return TimeSeries(start, (int(stamps[1]) - int(stamps[0])) / _US_PER_SECOND, values)
 
 
 def write_series_csv(series: TimeSeries, path) -> None:

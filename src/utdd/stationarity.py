@@ -22,7 +22,7 @@ callers only need the stationary / non-stationary verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,7 +135,7 @@ def ols(x: np.ndarray, lags: int) -> float:
     Raises :class:`DegenerateInputError` when ``X`` is rank-deficient by the
     rule ``|R_jj| <= 1e-10 * max(|x_j|, 1)`` in the units of ``x``.  The caller
     passes a one-dimensional float array with nobs >= L + 4; ``x`` is not
-    written to.
+    written to.  :func:`adf_test` passes Schwert's L; other orders call this.
     """
     n, p = x.size, lags + 1
     nobs = n - 1 - lags
@@ -216,29 +216,27 @@ class NdiffsResult:
     trail: tuple[AdfResult, ...]
 
 
-def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = None) -> AdfResult:
+def adf_test(series: Union[TimeSeries, np.ndarray, list]) -> AdfResult:
     """Augmented Dickey-Fuller test with a constant and no deterministic trend.
 
     Parameters
     ----------
     series : TimeSeries or array_like
         The data to test.
-    lags : int, optional
-        Number of lagged differences L.  Defaults to Schwert's rule
-        ``floor(12 * (n/100)^0.25)``: 8 lags at n = 25, 12 at 100, 17 at 500.
 
     Returns
     -------
     AdfResult
         The t-ratio of ``gamma`` (by :func:`ols`), the lag order L used
-        (``lags_used``), the 5% critical value and the stationarity verdict.
+        (``lags_used``, Schwert's ``floor(12 * (n/100)^0.25)``: 8 at n = 25, 12
+        at 100, 17 at 500), the 5% critical value and the stationarity verdict.
 
     Raises
     ------
     InvalidArgumentError
-        When the series is not one-dimensional, ``lags`` is negative, fewer
-        than 10 usable observations remain after lag construction, or the
-        observation count does not exceed the regressor count by >= 2.
+        When the series is not one-dimensional, or leaves fewer than 10 usable
+        observations, or fewer than the regressor count plus 2, after lag
+        construction: every series of 20 points or fewer does.
     DegenerateInputError
         For a singular regression design, as every constant series gives.
     """
@@ -246,9 +244,7 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list], lags: Optional[int] = 
     if x.ndim != 1:
         raise InvalidArgumentError("series must be one-dimensional")
     n = x.size
-    L = int(12.0 * (n / 100.0) ** 0.25) if lags is None else int(lags)  # Schwert's rule
-    if L < 0:
-        raise InvalidArgumentError("lags must be non-negative")
+    L = int(12.0 * (n / 100.0) ** 0.25)  # Schwert's rule
     nobs = n - 1 - L
     nreg = L + 2  # constant, lagged level, L lagged differences
     if nobs < 10 or nobs < nreg + 2:

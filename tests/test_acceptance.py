@@ -31,7 +31,6 @@ from utdd import (
     simulate_series,
 )
 from utdd.cli import main
-from utdd.series import read_timestamp_table
 from utdd.stationarity import adf_test, ndiffs
 
 UTC = timezone.utc
@@ -269,8 +268,8 @@ def test_cli_end_to_end(capsys, tmp_path):
     for name in ("report_ref_fit.csv", "report_cur_fit.csv",
                  "report_ref_residual.csv", "report_cur_residual.csv"):
         path = tmp_path / name
-        columns = ["observed", "seasonal", "residual"] if "fit" in name else ["residual"]
-        table_rows.append(len(read_timestamp_table(path, columns)[0]) if path.exists() else 0)
+        table_rows.append(len(np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, ndmin=1))
+                          if path.exists() else 0)
 
     self_out = tmp_path / "self.json"
     self_code = main(

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -38,7 +39,8 @@ REMOVED = {
     "utdd.stationarity": ("OlsFit", "schwert_lags",
                           "_second_pass"),  # inlined in ols
     "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
-                    "ResidualStats", "residual_stats"),
+                    "ResidualStats", "residual_stats",
+                    "read_timestamp_table"),  # read_series_csv; np.loadtxt for the fit CSVs
     "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
 }
 
@@ -121,6 +123,11 @@ def test_readme_round_trip_prints_what_the_readme_shows(tmp_path, monkeypatch, c
     assert drifted == shown_drifted == str(want["drifted"])
     assert float(delta) == pytest.approx(want["delta"], rel=1e-12, abs=0)
     assert f"{float(delta):.{len(shown_delta) - 2}f}" == shown_delta
+
+
+def test_adf_test_takes_the_series_only():
+    # the lag order is Schwert's rule, reported in lags_used; ols(x, L) fits any other
+    assert list(inspect.signature(utdd.adf_test).parameters) == ["series"]
 
 
 def test_ols_returns_one_float_and_stays_unexported():

@@ -16,7 +16,7 @@ import utdd.drift
 from utdd import load_model, read_series_csv
 from utdd.cli import main
 from utdd.embeddings import model_to_dict
-from utdd.series import parse_utc, read_timestamp_table, write_series_csv
+from utdd.series import parse_utc, write_series_csv
 
 FIXTURE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "fixture.json")
 
@@ -96,8 +96,7 @@ def test_simulate_at_a_third_of_a_second_then_fit(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     assert "2020-08-01T00:00:32.999967Z" in capsys.readouterr().out
-    stamps, _ = read_timestamp_table(out, ["value"])
-    assert set(np.diff(stamps).tolist()) == {333_333}
+    assert read_series_csv(out).step == 0.333_333  # the reader refuses any other gap
     code = main(["fit", "--input", str(out), "--from", "2020-08-01T00:00:00Z",
                  "--to", "2020-08-01T00:01:00Z", "--features", "hour_of_day",
                  "--model-out", str(model)])
@@ -355,12 +354,15 @@ def test_detect_fixture_drift(fixture_csv, tmp_path, capsys):
     expect = {"report_ref_fit.csv": 1464 - k, "report_cur_fit.csv": 1464 - k,
               "report_ref_residual.csv": 1464 - k, "report_cur_residual.csv": 1464 - k}
     for name, rows in expect.items():
+        header, *lines = (tmp_path / name).read_text().splitlines()
+        columns = header.split(",")[1:]
+        data = np.loadtxt(lines, delimiter=",", usecols=range(1, len(columns) + 1), ndmin=2)
+        assert len(data) == rows, name
         if "fit" in name:
-            ts, data = read_timestamp_table(tmp_path / name, ["observed", "seasonal", "residual"])
+            assert columns == ["observed", "seasonal", "residual"]
             assert_allclose(data[:, 0], data[:, 1] + data[:, 2], atol=0)
         else:
-            ts, data = read_timestamp_table(tmp_path / name, ["residual"])
-        assert len(ts) == rows, name
+            assert columns == ["residual"]
 
 
 def test_detect_self_comparison_is_exactly_zero(fixture_csv, tmp_path):
@@ -426,6 +428,13 @@ def test_detect_error_paths(fixture_csv, tmp_path, capsys):
     assert main(["detect", "--input", str(utf16_csv), *REF, *CUR,
                  "--report-out", str(tmp_path / "r.json")]) == 2
     assert_one_error_line(capsys.readouterr().err)
+    # one data row gives no step
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("\n".join(fixture_csv.read_text().splitlines()[:2]) + "\n")
+    assert main(["detect", "--input", str(one_row), *REF, *CUR,
+                 "--report-out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: line 3: one data row gives no step; need two or more\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

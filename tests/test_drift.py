@@ -33,7 +33,7 @@ from utdd import (
     simulate_series,
 )
 from utdd.drift import write_fit_csv, write_residual_csv
-from utdd.series import read_timestamp_table
+from utdd.series import write_timestamp_table
 from utdd.verdict import DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
 
 UTC = timezone.utc
@@ -433,16 +433,19 @@ def test_fit_csv_and_residual_csv(tmp_path):
     write_fit_csv(res.current, fit_path)
     write_residual_csv(res.current, resid_path)
 
-    ts, data = read_timestamp_table(fit_path, ["observed", "seasonal", "residual"])
-    assert len(ts) == len(res.current.grid)
+    header, *lines = fit_path.read_text().splitlines()
+    assert header == "timestamp,observed,seasonal,residual"
+    data = np.loadtxt(lines, delimiter=",", usecols=(1, 2, 3))
+    assert len(data) == len(res.current.grid)
     assert_array_equal(data[:, 0], res.current.grid.values)
     assert_array_equal(data[:, 1], res.current.seasonal)
     assert_array_equal(data[:, 2], res.current.residual)
     # the decomposition identity holds row by row
     assert_allclose(data[:, 0], data[:, 1] + data[:, 2], atol=0)
 
-    ts, data = read_timestamp_table(resid_path, ["residual"])
-    assert_array_equal(data[:, 0], res.current.residual)
+    header, *lines = resid_path.read_text().splitlines()
+    assert header == "timestamp,residual"
+    assert_array_equal(np.loadtxt(lines, delimiter=",", usecols=1), res.current.residual)
 
 
 def test_fit_csv_rewrite_is_byte_identical(tmp_path):
@@ -450,10 +453,10 @@ def test_fit_csv_rewrite_is_byte_identical(tmp_path):
     res = run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS)
     p1 = tmp_path / "fit1.csv"
     write_fit_csv(res.current, p1)
-    columns = ["observed", "seasonal", "residual"]
-    ts, data = read_timestamp_table(p1, columns)
-    assert_array_equal(ts, res.current.grid.epoch_us())
-    from utdd.series import write_timestamp_table
+    header, *lines = p1.read_text().splitlines()
+    columns = header.split(",")[1:]
+    assert columns == ["observed", "seasonal", "residual"]
+    data = np.loadtxt(lines, delimiter=",", usecols=(1, 2, 3))
 
     p2 = tmp_path / "fit2.csv"
     write_timestamp_table(p2, res.current.grid, dict(zip(columns, data.T)))

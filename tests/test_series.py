@@ -24,7 +24,6 @@ from utdd.series import (
     format_utc,
     is_flat,
     parse_utc,
-    read_timestamp_table,
     write_timestamp_table,
 )
 
@@ -412,7 +411,7 @@ def test_series_csv_write_read_write_byte_identical(tmp_path):
 @given(
     st.lists(
         st.floats(allow_nan=False, allow_infinity=False, width=64),
-        min_size=1,
+        min_size=2,
         max_size=20,
     )
 )
@@ -425,12 +424,16 @@ def test_csv_values_survive_roundtrip(tmp_path_factory, values):
     assert_array_equal(read_series_csv(path).values, s.values)
 
 
-def test_single_row_csv_defaults_step(tmp_path):
+def test_single_row_csv_is_refused_at_line_3(tmp_path):
+    # one stamp gives no step; a fault in the row itself is still reported at line 2
     path = tmp_path / "one.csv"
     path.write_text("timestamp,value\n2020-08-01T00:00:00Z,5.0\n")
-    s = read_series_csv(path)
-    assert len(s) == 1
-    assert s.step == 1.0
+    with pytest.raises(CsvFormatError) as err:
+        read_series_csv(path)
+    assert str(err.value) == "line 3: one data row gives no step; need two or more"
+    path.write_text("timestamp,value\n2020-08-01T00:00:00Z,x\n")
+    with pytest.raises(CsvFormatError, match="^line 2: bad numeric value$"):
+        read_series_csv(path)
 
 
 def test_csv_header_errors(tmp_path):
@@ -528,15 +531,12 @@ def test_csv_reports_the_first_offending_line(tmp_path, header, edits, message):
         lines[line_no - 1] = row
     path = tmp_path / "two_faults.csv"
     path.write_text("".join(line + "\n" for line in lines))
-    for read in (lambda: read_series_csv(path), lambda: read_timestamp_table(path, ["value"])):
-        with pytest.raises(CsvFormatError) as err:
-            read()
-        assert str(err.value) == message
+    with pytest.raises(CsvFormatError) as err:
+        read_series_csv(path)
+    assert str(err.value) == message
 
 
 def test_timestamp_table_multicolumn(tmp_path):
-    ts = [T0 + timedelta(hours=i) for i in range(5)]
-    us = np.array([(t - EPOCH) // timedelta(microseconds=1) for t in ts])
     a = np.arange(5.0)
     b = np.arange(5.0) * 0.5
     path = tmp_path / "table.csv"
@@ -545,11 +545,10 @@ def test_timestamp_table_multicolumn(tmp_path):
         "timestamp,observed,seasonal",
         "2020-08-01T00:00:00Z,0.0,0.0",
     ]
-    ts2, data = read_timestamp_table(path, ["observed", "seasonal"])
-    assert ts2.dtype == np.int64
-    assert_array_equal(ts2, us)
-    assert_array_equal(data[:, 0], a)
-    assert_array_equal(data[:, 1], b)
+    stamps = np.loadtxt(path, dtype=str, delimiter=",", skiprows=1, usecols=0)
+    assert stamps.tolist() == [format_utc(T0 + timedelta(hours=i)) for i in range(5)]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2))
+    assert_array_equal(data, np.column_stack([a, b]))
 
 
 @pytest.mark.parametrize(
@@ -572,25 +571,22 @@ def test_timestamp_table_renders_the_datetime_range_edges(tmp_path):
         (first, ["0001-01-01T00:00:00Z,0.0", "0001-01-01T00:00:01Z,0.0"]),
         (last, ["9999-12-31T23:59:59.999998Z,0.0", "9999-12-31T23:59:59.999999Z,0.0"]),
     ):
-        write_timestamp_table(path, grid, {"x": grid.values})
+        write_timestamp_table(path, grid, {"value": grid.values})
         assert path.read_text().splitlines()[1:] == rows
-        assert_array_equal(read_timestamp_table(path, ["x"])[0], grid.epoch_us())
+        assert_array_equal(read_series_csv(path).epoch_us(), grid.epoch_us())
 
 
 def test_timestamp_table_header_is_one_rule(tmp_path):
-    # writer and reader share one header: a table without value columns is refused both ways
+    # writer and reader share one header: a table without value columns is not written
     path = tmp_path / "out.csv"
     with pytest.raises(InvalidArgumentError, match="at least one value column"):
         write_timestamp_table(path, hourly(np.zeros(2)), {})
     assert not path.exists()
-    path.write_text("timestamp\n2020-08-01T00:00:00Z\n")
-    with pytest.raises(InvalidArgumentError, match="at least one value column"):
-        read_timestamp_table(path, [])
     # and every other header is refused with the one expected
     for header in ("time,value", "timestamp", "timestamp,value,", "timestamp,,value"):
         path.write_text(header + "\n2020-08-01T00:00:00Z,1.0\n")
         with pytest.raises(CsvFormatError) as err:
-            read_timestamp_table(path, ["value"])
+            read_series_csv(path)
         assert str(err.value) == "line 1: expected header 'timestamp,value'"
 
 
@@ -647,9 +643,13 @@ def test_every_timestamp_is_one_exact_microsecond_grid(tmp_path_factory, start, 
 
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     write_series_csv(s, path)
+    if n == 1:
+        with pytest.raises(CsvFormatError, match="^line 3: one data row gives no step"):
+            read_series_csv(path)
+        return
     back = read_series_csv(path)
     assert back.epoch_us().tolist() == us
-    assert back.step == (s.step if n > 1 else 1.0)
+    assert back.step == s.step
 
 
 def test_steps_round_to_whole_microseconds_from_1_us_to_1e9_s():
@@ -701,27 +701,30 @@ def test_reader_accepts_every_utc_spelling(tmp_path_factory, s, data):
     rows = [f"{spell(ts, form)},{v!r}" for ts, form, v in zip(timestamps(s), forms, s.values.tolist())]
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     path.write_text("timestamp,value\n" + "".join(row + "\n" for row in rows))
+    if len(s) == 1:
+        with pytest.raises(CsvFormatError, match="^line 3: one data row gives no step"):
+            read_series_csv(path)
+        return
     back = read_series_csv(path)
     assert back.start == s.start
-    assert back.step == (s.step if len(s) > 1 else 1.0)
+    assert back.step == s.step
     assert_array_equal(back.values, s.values)
 
 
-def per_row_read(text, columns):
-    """A row-at-a-time reader: ``(timestamps, rows)``, or raises its CsvFormatError."""
+def per_row_read(text):
+    """A row-at-a-time reader of a series file: ``(timestamps, values)``, or raises its CsvFormatError."""
     lines = text.splitlines()
-    header = ["timestamp", *columns]
-    if lines[0] != ",".join(header):
-        raise CsvFormatError(f"expected header {','.join(header)!r}", line=1)
+    if lines[0] != "timestamp,value":
+        raise CsvFormatError("expected header 'timestamp,value'", line=1)
     if len(lines) < 2:
         raise CsvFormatError("no data rows", line=2)
-    timestamps, rows = [], []
+    timestamps, values = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             raise CsvFormatError("blank line", line=lineno)
         parts = line.split(",")
-        if len(parts) != len(header):
-            raise CsvFormatError(f"expected {len(header)} fields, found {len(parts)}", line=lineno)
+        if len(parts) != 2:
+            raise CsvFormatError(f"expected 2 fields, found {len(parts)}", line=lineno)
         try:
             ts = parse_utc(parts[0])
         except ValueError:
@@ -737,16 +740,18 @@ def per_row_read(text, columns):
                 )
         timestamps.append(ts)
         # float() also takes `1_0`, surrounding spaces and non-ASCII digits
-        if not all(p.isascii() and p == p.strip() and "_" not in p for p in parts[1:]):
+        if not (parts[1].isascii() and parts[1] == parts[1].strip() and "_" not in parts[1]):
             raise CsvFormatError("bad numeric value", line=lineno)
         try:
-            row = [float(p) for p in parts[1:]]
+            value = float(parts[1])
         except ValueError:
             raise CsvFormatError("bad numeric value", line=lineno) from None
-        if not all(np.isfinite(row)):
+        if not np.isfinite(value):
             raise CsvFormatError("non-finite value", line=lineno)
-        rows.append(row)
-    return timestamps, rows
+        values.append(value)
+    if len(timestamps) < 2:
+        raise CsvFormatError("one data row gives no step; need two or more", line=3)
+    return timestamps, values
 
 
 NUMBER_FAULTS = ("1.0.0", "1_0", " 2", "2 ", "\u0663", "inf", "-Infinity", "nan")
@@ -756,24 +761,17 @@ FAULTS = ("blank", "extra field", "missing field", "stamp", *NUMBER_FAULTS,
 
 @given(
     grid_series(max_rows=12),
-    st.integers(1, 3),
-    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS), st.integers(0, 2)), max_size=4),
+    st.lists(st.tuples(st.integers(0, 11), st.sampled_from(FAULTS)), max_size=4),
 )
 @settings(max_examples=400, deadline=None)
-def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, s, ncols, faults):
-    columns = ["value", "seasonal", "residual"][:ncols]
-    arrays = [s.values, -s.values, s.values[::-1]][:ncols]
-    header = "timestamp," + ",".join(columns)
-    rows = [
-        [format_utc(ts)] + [repr(float(arr[i])) for arr in arrays]
-        for i, ts in enumerate(timestamps(s))
-    ]
-    for index, fault, column in faults:
+def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, s, faults):
+    header = "timestamp,value"
+    rows = [[format_utc(ts), repr(v)] for ts, v in zip(timestamps(s), s.values.tolist())]
+    for index, fault in faults:
         i = index % len(rows)
         ts = s.timestamp(i)
-        j = -1 - column % max(1, len(rows[i]) - 1)  # a value field, counted from the end
         if fault == "header name":
-            header = "timestamp," + ",".join(columns[:-1] + ["level"])
+            header = "timestamp,level"
         elif fault == "blank":
             rows[i] = [""]
         elif fault == "extra field":
@@ -783,7 +781,7 @@ def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, 
         elif fault == "stamp":
             rows[i][0] = "2020-13-01T00:00:00Z"
         elif fault in NUMBER_FAULTS:
-            rows[i][j] = fault
+            rows[i][-1] = fault
         elif fault == "off grid":
             rows[i][0] = format_utc(ts + timedelta(seconds=0.25))
         elif fault == "repeat first":
@@ -794,32 +792,23 @@ def test_reader_reports_the_first_fault_like_a_per_row_reader(tmp_path_factory, 
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     path.write_text(text)
 
-    readers = [lambda: read_timestamp_table(path, columns)]
-    if ncols == 1:
-        readers.append(lambda: read_series_csv(path))
     try:
-        want_stamps, want_rows = per_row_read(text, columns)
+        want_stamps, want_values = per_row_read(text)
     except CsvFormatError as want:
-        for read in readers:
-            with pytest.raises(CsvFormatError) as err:
-                read()
-            assert (str(err.value), err.value.line) == (str(want), want.line)
+        with pytest.raises(CsvFormatError) as err:
+            read_series_csv(path)
+        assert (str(err.value), err.value.line) == (str(want), want.line)
         return
-    stamps, data = read_timestamp_table(path, columns)
-    assert stamps.tolist() == [(ts - EPOCH) // timedelta(microseconds=1) for ts in want_stamps]
-    assert data.shape == (len(want_rows), ncols)
-    assert_array_equal(data, want_rows)
-    if ncols == 1:
-        back = read_series_csv(path)
-        step = (want_stamps[1] - want_stamps[0]).total_seconds() if len(want_stamps) > 1 else 1.0
-        assert (back.start, back.step) == (want_stamps[0], step)
-        assert_array_equal(back.values, [row[0] for row in want_rows])
+    back = read_series_csv(path)
+    assert timestamps(back) == want_stamps
+    assert back.step == (want_stamps[1] - want_stamps[0]).total_seconds()
+    assert_array_equal(back.values, want_values)
 
 
 def test_writer_output_takes_the_grid_shortcut(tmp_path, monkeypatch):
     """Files the writer produces never reach the row-by-row reader; other spellings do."""
 
-    def row_by_row(body, ncols):
+    def row_by_row(body):
         raise AssertionError("read row by row")
 
     monkeypatch.setattr("utdd.series._read_rows", row_by_row)
@@ -829,13 +818,6 @@ def test_writer_output_takes_the_grid_shortcut(tmp_path, monkeypatch):
         back = read_series_csv(tmp_path / "s.csv")
         assert (back.start, back.step) == (s.start, s.step)
         assert_array_equal(back.values, s.values)
-
-        columns = ["observed", "seasonal", "residual"]
-        arrays = [s.values, -s.values, s.values[::-1]]
-        write_timestamp_table(tmp_path / "fit.csv", s, dict(zip(columns, arrays)))
-        stamps, data = read_timestamp_table(tmp_path / "fit.csv", columns)
-        assert_array_equal(stamps, s.epoch_us())
-        assert_array_equal(data, np.column_stack(arrays))
 
     text = (tmp_path / "s.csv").read_text()
     (tmp_path / "offset.csv").write_text(text.replace("Z,", "+00:00,"))

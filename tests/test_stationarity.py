@@ -169,7 +169,7 @@ def test_adf_matches_direct_regression():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(200)
     lags = 3
-    res = adf_test(x, lags=lags)
+    statistic = ols(x, lags)
 
     dx = np.diff(x)
     n = len(x)
@@ -182,15 +182,12 @@ def test_adf_matches_direct_regression():
     resid = y - design @ beta
     sigma2 = resid @ resid / (len(y) - design.shape[1])
     se = np.sqrt(sigma2 * np.diag(np.linalg.inv(design.T @ design)))
-    assert_allclose(res.statistic, beta[1] / se[1], rtol=1e-9)
-    assert res.lags_used == lags
+    assert_allclose(statistic, beta[1] / se[1], rtol=1e-9)
 
 
 def test_adf_explicit_zero_lags():
     rng = np.random.default_rng(4)
-    res = adf_test(rng.standard_normal(100), lags=0)
-    assert res.lags_used == 0
-    assert res.stationary
+    assert ols(rng.standard_normal(100), 0) < ADF_CRITICAL_5PCT
 
 
 def test_adf_accepts_series_objects():
@@ -201,14 +198,15 @@ def test_adf_accepts_series_objects():
 
 def test_adf_rejects_constant_series():
     # no flatness check of its own: the ols rank rule refuses every constant,
-    # from the smallest subnormal to near the float limit (warnings are errors)
+    # from the smallest subnormal to near the float limit (warnings are errors);
+    # None is adf_test's own lag order, the others are fitted by ols directly
     sizes_and_lags = [(12, 0), (12, 1)] + [
         (n, lags) for n in (24, 100, 8760) for lags in (None, 0, 1, 3)
     ]
     for c in (0.0, 3.25, -3.25, 1e-300, -1e-300, 5e-324, 1e300, -1e300, -1.7e308, 1e12):
         for n, lags in sizes_and_lags:
             with pytest.raises(DegenerateInputError):
-                adf_test(np.full(n, c), lags=lags)
+                adf_test(np.full(n, c)) if lags is None else ols(np.full(n, c), lags)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 1e3, 1e8])
@@ -225,18 +223,19 @@ def test_adf_rank_rule_boundary_on_a_noisy_constant(c):
                 assert math.isfinite(adf_test(c + rel * noise).statistic), (n, seed, rel)
 
 
-def test_adf_refuses_a_2d_series_and_negative_lags():
+def test_adf_refuses_a_2d_series():
     with pytest.raises(InvalidArgumentError, match="one-dimensional"):
         adf_test(np.ones((20, 2)))
-    with pytest.raises(InvalidArgumentError, match="lags must be non-negative"):
-        adf_test(np.random.default_rng(0).standard_normal(40), lags=-1)
 
 
 def test_adf_rejects_short_series():
     with pytest.raises(InvalidArgumentError):
         adf_test(np.arange(8.0) ** 0.5)
-    with pytest.raises(InvalidArgumentError):
-        adf_test(np.random.default_rng(0).standard_normal(40), lags=35)
+    # Schwert's 8 lags leave 20 points 11 observations for 10 regressors, 21 points 12
+    x = np.random.default_rng(0).standard_normal(21)
+    with pytest.raises(InvalidArgumentError, match="^20 points leave 11 usable observations"):
+        adf_test(x[:20])
+    assert adf_test(x).lags_used == 8
 
 
 @given(
@@ -248,8 +247,8 @@ def test_adf_statistic_is_affine_invariant(scale, shift):
     # the t-ratio does not depend on the units of measurement
     rng = np.random.default_rng(6)
     x = rng.standard_normal(150)
-    base = adf_test(x, lags=2).statistic
-    moved = adf_test(scale * x + shift, lags=2).statistic
+    base = ols(x, 2)
+    moved = ols(scale * x + shift, 2)
     assert_allclose(moved, base, rtol=1e-7, atol=1e-9)
 
 
@@ -292,7 +291,7 @@ def test_adf_statistic_matches_an_exact_rational_solution(n, lags, rho, level, s
         x[t] = rho * x[t - 1] + noise[t]
     x += level
     want = exact_t_ratio(*adf_design(x, lags))
-    got = adf_test(x, lags=lags).statistic
+    got = ols(x, lags)
     assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
 
 
