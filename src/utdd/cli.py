@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import re
 import sys
@@ -37,7 +36,7 @@ from datetime import date
 from typing import Optional, Sequence
 
 from .errors import InvalidArgumentError, UtddError
-from .jsondoc import _NUMBER
+from .jsondoc import NUMBER
 from .verdict import (
     DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, load_report,
     save_report,
@@ -75,7 +74,7 @@ def __getattr__(name: str):
 def _number(convert):
     """An argparse type: ``convert`` of text in the CSV readers' ASCII number syntax only."""
     def parse(text: str):
-        if not re.fullmatch(_NUMBER, text):  # int() and float() also take `1_0`, ` 1` and `٣`
+        if not re.fullmatch(NUMBER, text):  # int() and float() also take `1_0`, ` 1` and `٣`
             raise ValueError(text)
         return convert(text)
     parse.__name__ = convert.__name__  # argparse's message: "invalid int value: '0_1'"
@@ -263,9 +262,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 2
     except UnicodeDecodeError as exc:
         print(f"error: input is not UTF-8 text: byte {exc.start}: {exc.reason}", file=sys.stderr)
         return 2

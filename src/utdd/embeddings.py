@@ -10,7 +10,6 @@ stage's root-mean-square contribution drops below the termination tolerance
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -19,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .jsondoc import json_array, json_object, json_version, write_json
+from .jsondoc import json_array, json_object, json_version, read_json, write_json
 from .series import FeatureSpec, TimeSeries, diff, extract_feature, is_flat
 from .verdict import check_positive
 
@@ -228,5 +227,4 @@ def save_model(model: BoostedModel, path) -> None:
 
 
 def load_model(path) -> BoostedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return read_json(path, model_from_dict)

@@ -1,12 +1,12 @@
 """Strict readers and one atomic writer for the package's JSON documents.
 
-Each document is read through a table from key to reader.  A reader is a
-:func:`json_scalar` kind or a callable, such as one built on
-:func:`json_object` or :func:`json_array`.  Every fault raises
-:class:`InvalidArgumentError` naming its path from the root, such as
-``stages[1].lookup[3]``.  An absent optional key is left out of the result,
+Each document is read by :func:`read_json` through a table from key to
+reader.  A reader is a :func:`json_scalar` kind or a callable, such as one
+built on :func:`json_object` or :func:`json_array`.  Every fault raises
+:class:`InvalidArgumentError`: text that is not JSON names its line, and any
+other fault its path from the root, such as ``stages[1].lookup[3]``.  An absent optional key is left out of the result,
 so defaults live only in the dataclasses built from it.  The module also
-holds the ASCII number syntax that the CSV readers and the command line share.
+holds the ASCII number syntax that the CSV reader and the command line share.
 Standard library only.
 """
 
@@ -18,12 +18,13 @@ import sys
 
 from .errors import InvalidArgumentError
 
-__all__ = ["json_scalar", "json_object", "json_array", "json_version", "write_json"]
+__all__ = ["NUMBER", "json_scalar", "json_object", "json_array", "json_version", "read_json",
+           "write_json"]
 
-# The number texts the CSV readers and the command line accept: ASCII digits in
+# The number texts the CSV reader and the command line accept: ASCII digits in
 # decimal or exponent notation, or a spelling of infinity or NaN that is then
 # refused as non-finite.  float() alone would also take `1_0`, ` 2` and non-ASCII digits.
-_NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+NUMBER = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
 
 # JSON types accepted per kind, compared exactly: a bool is an int to Python.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "string": (str,)}
@@ -107,6 +108,20 @@ def json_version(doc, version: int, writer: str) -> dict:
             f"run {writer} again to write a version {version} file"
         )
     return {key: value for key, value in doc.items() if key != "version"}
+
+
+def read_json(path, reader):
+    """``reader`` applied to the JSON document in the UTF-8 file at ``path``.
+
+    Text that is not JSON raises :class:`InvalidArgumentError` naming its line,
+    as in ``line 1: Expecting value``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"line {exc.lineno}: {exc.msg}") from None
+    return reader(doc)
 
 
 def write_json(path, doc) -> None:

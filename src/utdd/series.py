@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import CsvFormatError, InvalidArgumentError
-from .jsondoc import _NUMBER
+from .jsondoc import NUMBER
 
 __all__ = [
     "TimeSeries",
@@ -29,6 +29,7 @@ __all__ = [
     "parse_utc",
     "format_utc",
     "utc_us",
+    "coerce_utc",
     "check_grid",
     "read_series_csv",
     "write_series_csv",
@@ -43,7 +44,7 @@ _ONE_US = timedelta(microseconds=1)
 _MAX_US = (datetime.max.replace(tzinfo=timezone.utc) - _EPOCH) // _ONE_US
 
 
-def _coerce_utc(dt: datetime) -> datetime:
+def coerce_utc(dt: datetime) -> datetime:
     """Naive datetimes are taken to be UTC; aware ones are converted."""
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
@@ -52,7 +53,7 @@ def _coerce_utc(dt: datetime) -> datetime:
 
 def utc_us(dt: datetime) -> int:
     """Exact microseconds since the Unix epoch (naive datetimes are UTC)."""
-    return (_coerce_utc(dt) - _EPOCH) // _ONE_US
+    return (coerce_utc(dt) - _EPOCH) // _ONE_US
 
 
 def check_grid(start: datetime, step: float, n: int) -> int:
@@ -130,7 +131,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "start", _coerce_utc(self.start))
+        object.__setattr__(self, "start", coerce_utc(self.start))
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise InvalidArgumentError("values must be a one-dimensional, non-empty sequence")
@@ -161,8 +162,8 @@ class TimeSeries:
         Raises :class:`InvalidArgumentError` when the bounds are inverted or
         no points fall inside them.
         """
-        start_at = _coerce_utc(start_at)
-        end_before = _coerce_utc(end_before)
+        start_at = coerce_utc(start_at)
+        end_before = coerce_utc(end_before)
         if end_before <= start_at:
             raise InvalidArgumentError("window end must be after window start")
         i_lo, i_hi = np.searchsorted(self.epoch_us(), [utc_us(start_at), utc_us(end_before)])
@@ -194,7 +195,8 @@ class FeatureSpec:
     * ``day_of_week``: Monday=0 .. Sunday=6
     * ``month_of_year``: January=0 .. December=11
     * ``is_weekend``: 1 on Saturday/Sunday, else 0
-    * ``is_holiday``: 1 on dates listed in ``holiday_dates``, else 0
+    * ``is_holiday``: 1 on dates listed in ``holiday_dates``, else 0; the set,
+      possibly empty, is required
 
     All calendar math is UTC with the proleptic Gregorian calendar; there is
     no timezone or DST handling.
@@ -208,6 +210,8 @@ class FeatureSpec:
             raise InvalidArgumentError(
                 f"unknown feature kind {self.kind!r}; expected one of {FEATURE_KINDS}"
             )
+        if self.kind == "is_holiday" and self.holiday_dates is None:
+            raise InvalidArgumentError("is_holiday requires holiday_dates")
         if self.holiday_dates is not None:
             if self.kind != "is_holiday":
                 raise InvalidArgumentError("holiday_dates only applies to is_holiday features")
@@ -254,8 +258,6 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
     if spec.kind == "hour_of_day":
         # the time of day by a floor division, about twice as fast as numpy's int64 remainder
         return (us - us // _US_PER_DAY * _US_PER_DAY) // _US_PER_HOUR
-    if spec.kind == "is_holiday" and spec.holiday_dates is None:
-        raise InvalidArgumentError("is_holiday extraction requires holiday_dates")
     day = us // _US_PER_DAY  # days since 1970-01-01, ascending
     first, span = int(day[0]), int(day[-1] - day[0]) + 1
     if span <= day.size:  # every day from the first point's to the last's
@@ -312,9 +314,14 @@ def _format_stamps(us: np.ndarray) -> list[str]:
 
 
 def _header(columns) -> str:
-    """The header line of a table of ``columns``, one or more names: ``timestamp,<names>``."""
+    """The header line ``timestamp,<names>`` of one or more ``columns``, each a bare CSV field."""
     if not columns:
         raise InvalidArgumentError("a timestamp table needs at least one value column")
+    for name in columns:
+        if not name or re.search(r'[,"\r\n]', name):
+            raise InvalidArgumentError(
+                f"column name {name!r} must be non-empty, without comma, quote, CR or LF"
+            )
     return ",".join(["timestamp", *columns])
 
 
@@ -329,7 +336,7 @@ def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarr
 
 
 # The value texts the reader accepts, one per line.
-_NUMBERS = re.compile(rf"(?:{_NUMBER}\n)*{_NUMBER}")
+_NUMBERS = re.compile(rf"(?:{NUMBER}\n)*{NUMBER}")
 
 
 def _read_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,6 @@ draw.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Optional
@@ -37,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .jsondoc import json_array, json_object, json_scalar
+from .jsondoc import json_array, json_object, json_scalar, read_json
 from .series import (
-    FeatureSpec, TimeSeries, _coerce_utc, check_grid, extract_feature, parse_utc, utc_us,
+    FeatureSpec, TimeSeries, coerce_utc, check_grid, extract_feature, parse_utc, utc_us,
 )
 
 __all__ = [
@@ -131,7 +130,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidArgumentError("n must be at least 1")
-        object.__setattr__(self, "start", _coerce_utc(self.start))
+        object.__setattr__(self, "start", coerce_utc(self.start))
         object.__setattr__(self, "step", check_grid(self.start, self.step, self.n) / 1e6)
         if not self.sigma_eps >= 0:
             raise InvalidArgumentError("sigma_eps must be non-negative")
@@ -267,5 +266,4 @@ def sim_config_from_dict(doc) -> SimConfig:
 
 def load_sim_config(path) -> SimConfig:
     """Load and validate a simulation config from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return sim_config_from_dict(json.load(fh))
+    return read_json(path, sim_config_from_dict)

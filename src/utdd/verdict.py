@@ -10,12 +10,11 @@ package's one rule for a parameter that must be positive and finite
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InvalidArgumentError
-from .jsondoc import json_object, json_version, write_json
+from .jsondoc import json_object, json_version, read_json, write_json
 
 __all__ = [
     "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD", "REPORT_FORMAT_VERSION",
@@ -85,5 +84,4 @@ def save_report(report: DriftReport, path) -> None:
 
 
 def load_report(path) -> DriftReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    return read_json(path, report_from_dict)

@@ -183,6 +183,15 @@ def test_jsondoc_imports_only_the_standard_library_and_errors():
         allowed.append(name)
 
 
+def test_no_module_imports_another_modules_underscore_name():
+    # a name that two modules share is part of the defining module's public surface
+    for path in sorted((ROOT / "src" / "utdd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("utdd")):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, ast.unparse(node))
+
+
 def test_package_namespace_is_exactly_all():
     namespace = {}
     exec("from utdd import *", namespace)

@@ -199,6 +199,15 @@ def test_run_utdd_refuses_windows_with_different_steps(monkeypatch):
     assert calls == []
 
 
+def test_run_utdd_refuses_is_holiday_without_dates_before_ndiffs(monkeypatch):
+    s = two_month_series(seed=7)
+    calls = []
+    monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidArgumentError, match="is_holiday requires holiday_dates"):
+        run_utdd(s.window(T0, SEP), s.window(SEP, OCT), (FeatureSpec("is_holiday"),))
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "option, message",
     [({"threshold": 0.0}, "threshold must be positive and finite"),

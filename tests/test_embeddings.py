@@ -307,6 +307,9 @@ def _malformed_model_docs():
         "holidays-on-dow": lambda d: d["stages"][0]["feature"].update(
             holiday_dates=["2020-01-01"]
         ),
+        "holiday-without-dates": lambda d: d["stages"][0].update(
+            feature={"kind": "is_holiday"}, lookup=[0.0, 1.0]
+        ),
         "global_mean-text": lambda d: d["stages"][0].update(global_mean="mean"),  # dropped too
         "k_diffs-fraction": lambda d: d.update(k_diffs=1.9),
         "k_diffs-bool": lambda d: d.update(k_diffs=True),

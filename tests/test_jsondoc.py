@@ -9,7 +9,10 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from utdd import FeatureSpec, InvalidArgumentError, TimeSeries, boosted_fit
+from utdd import (
+    FeatureSpec, InvalidArgumentError, TimeSeries, boosted_fit, load_model, load_report,
+    load_sim_config,
+)
 from utdd.cli import main
 from utdd.embeddings import model_from_dict, model_to_dict
 from utdd.jsondoc import json_scalar
@@ -126,6 +129,15 @@ def test_cli_exits_2_with_the_path_on_one_error_line(tmp_path, capsys, name, pat
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_library_loaders_refuse_text_that_is_not_json(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{\n  "version": 2,\n  oops\n}\n')
+    for load in (load_sim_config, load_model, load_report):
+        with pytest.raises(InvalidArgumentError) as err:
+            load(path)
+        assert str(err.value) == "line 3: Expecting property name enclosed in double quotes"
 
 
 def test_json_scalar_types_compare_exactly_and_floats_are_finite():

@@ -287,9 +287,9 @@ def test_is_holiday_empty_set_is_all_zero():
 
 
 def test_is_holiday_requires_dates():
-    s = hourly(np.zeros(10))
-    with pytest.raises(InvalidArgumentError):
-        extract_feature(s, FeatureSpec("is_holiday"))
+    # refused by the spec itself, before any caller fits or extracts with it
+    with pytest.raises(InvalidArgumentError, match="^is_holiday requires holiday_dates$"):
+        FeatureSpec("is_holiday")
 
 
 def test_exogenous_codes_passthrough_and_validation():
@@ -582,6 +582,11 @@ def test_timestamp_table_header_is_one_rule(tmp_path):
     with pytest.raises(InvalidArgumentError, match="at least one value column"):
         write_timestamp_table(path, hourly(np.zeros(2)), {})
     assert not path.exists()
+    # nor one whose header would not name one column per field
+    for name in ("", "a,b", 'a"b', "a\rb", "a\nb"):
+        with pytest.raises(InvalidArgumentError, match="column name"):
+            write_timestamp_table(path, hourly(np.zeros(2)), {name: np.zeros(2)})
+        assert not path.exists()
     # and every other header is refused with the one expected
     for header in ("time,value", "timestamp", "timestamp,value,", "timestamp,,value"):
         path.write_text(header + "\n2020-08-01T00:00:00Z,1.0\n")
@@ -712,7 +717,7 @@ def test_reader_accepts_every_utc_spelling(tmp_path_factory, s, data):
 
 
 def per_row_read(text):
-    """A row-at-a-time reader of a series file: ``(timestamps, values)``, or raises its CsvFormatError."""
+    """A row-at-a-time series reader: ``(timestamps, values)``, or raises its CsvFormatError."""
     lines = text.splitlines()
     if lines[0] != "timestamp,value":
         raise CsvFormatError("expected header 'timestamp,value'", line=1)
