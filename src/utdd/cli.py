@@ -72,7 +72,7 @@ def __getattr__(name: str):
 
 
 def _number(convert):
-    """An argparse type: ``convert`` of text in the CSV readers' ASCII number syntax only."""
+    """An argparse type: ``convert`` of text in the CSV reader's ASCII number syntax only."""
     def parse(text: str):
         if not re.fullmatch(NUMBER, text):  # int() and float() also take `1_0`, ` 1` and `٣`
             raise ValueError(text)

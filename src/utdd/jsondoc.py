@@ -4,10 +4,10 @@ Each document is read by :func:`read_json` through a table from key to
 reader.  A reader is a :func:`json_scalar` kind or a callable, such as one
 built on :func:`json_object` or :func:`json_array`.  Every fault raises
 :class:`InvalidArgumentError`: text that is not JSON names its line, and any
-other fault its path from the root, such as ``stages[1].lookup[3]``.  An absent optional key is left out of the result,
-so defaults live only in the dataclasses built from it.  The module also
-holds the ASCII number syntax that the CSV reader and the command line share.
-Standard library only.
+other fault its path from the root, such as ``stages[1].lookup[3]``.  An
+absent optional key is left out of the result, so defaults live only in the
+dataclasses built from it.  The module also holds the ASCII number syntax
+that the CSV reader and the command line share.  Standard library only.
 """
 
 from __future__ import annotations

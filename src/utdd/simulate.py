@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_scalar, read_json
 from .series import (
-    FeatureSpec, TimeSeries, coerce_utc, check_grid, extract_feature, parse_utc, utc_us,
+    FeatureSpec, TimeSeries, check_grid, coerce_utc, extract_feature, parse_utc, utc_us,
 )
 
 __all__ = [
