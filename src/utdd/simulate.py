@@ -19,8 +19,8 @@ same order, so the output is bit for bit that of a per-harmonic scalar loop
 
 Reproducibility contract: all randomness comes from one numpy PCG64 generator
 (``numpy.random.default_rng(seed)``) producing standard normals via numpy's
-ziggurat, consumed in a fixed slot order -- first any missing initial harmonic
-states (per component: gamma then gamma-star), then per step: for each
+ziggurat, consumed in a fixed slot order -- first the initial harmonic states
+(per component: gamma then gamma-star), then per step: for each
 component in declared order the interleaved pairs ``w_1, w*_1, ..., w_p,
 w*_p``, then the observation noise draw.  Draws are made (and scaled) even
 when their sigma is zero, so changing a sigma never shifts another slot's
@@ -54,30 +54,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeasonalComponentConfig:
-    """One seasonal component: length ``s`` in steps, harmonic noise, initial state.
+    """One seasonal component: length ``s`` in steps and harmonic noise.
 
-    ``init_gamma`` / ``init_gamma_star`` must have length ``p = s // 2`` when
-    given; missing ones are drawn N(0, 1) from the simulation generator.
+    Its initial state is drawn N(0, 1) from the simulation generator.
     """
 
     s: int
     sigma_omega: float = 0.0
-    init_gamma: Optional[tuple] = None
-    init_gamma_star: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         if self.s < 2:
             raise InvalidArgumentError("seasonal length s must be at least 2")
         if not self.sigma_omega >= 0:
             raise InvalidArgumentError("sigma_omega must be non-negative")
-        for name in ("init_gamma", "init_gamma_star"):
-            init = getattr(self, name)
-            if init is None:
-                continue
-            init = tuple(float(v) for v in init)
-            if len(init) != self.p:
-                raise InvalidArgumentError(f"{name} must have length p = {self.p}")
-            object.__setattr__(self, name, init)
 
     @property
     def p(self) -> int:
@@ -154,14 +143,8 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     gamma: list = []
     gamma_star: list = []
     for comp in comps:
-        gamma.extend(
-            comp.init_gamma if comp.init_gamma is not None else rng.standard_normal(comp.p)
-        )
-        gamma_star.extend(
-            comp.init_gamma_star
-            if comp.init_gamma_star is not None
-            else rng.standard_normal(comp.p)
-        )
+        gamma.extend(rng.standard_normal(comp.p))
+        gamma_star.extend(rng.standard_normal(comp.p))
 
     # one row per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
     bounds = np.cumsum([0] + [comp.p for comp in comps])
@@ -238,8 +221,7 @@ def _utc(text) -> datetime:
     return parse_utc(json_scalar(text, "string"))
 
 
-_FLOATS = json_array("float")
-_COMPONENT = {"s": "int", "sigma_omega": "float", "init_gamma": _FLOATS, "init_gamma_star": _FLOATS}
+_COMPONENT = {"s": "int", "sigma_omega": "float"}
 _DRIFT = {"at": _utc, "level_shift": "float", "noise_scale": "float", "seasonal_scale": "float"}
 _CONFIG = {
     "start": _utc,

@@ -126,7 +126,7 @@ def test_boosting_recovery(capsys):
 
 def test_simulator_exactness(capsys):
     # zero-noise output repeats exactly at every configured period, per-period
-    # energy is conserved, and a single harmonic reproduces a pure cosine
+    # energy is conserved, and the harmonics are the cosines of the seeded state
     period_err = 0.0
     energy_err = 0.0
     for s in (2, 7, 24, 168):
@@ -142,14 +142,15 @@ def test_simulator_exactness(capsys):
         windows = out.reshape(4, s)
         energy = (windows**2).sum(axis=1)
         energy_err = max(energy_err, np.abs(energy - energy[0]).max() / max(energy[0], 1.0))
-    p = 12
-    single = SeasonalComponentConfig(
-        24, 0.0, init_gamma=(1.0,) + (0.0,) * (p - 1), init_gamma_star=(0.0,) * p
-    )
+    # the initial pairs are the seed's first 2p draws, every gamma then every
+    # gamma-star, so x_t = sum_j g_j cos(l_j t) + h_j sin(l_j t)
+    g, h = np.random.default_rng(0).standard_normal(24).reshape(2, 12)
     out = simulate_series(
-        SimConfig(start=T0, step=3600.0, n=240, components=(single,), seed=0)
+        SimConfig(start=T0, step=3600.0, n=240, components=(SeasonalComponentConfig(24, 0.0),),
+                  seed=0)
     ).values
-    cos_err = np.abs(out - np.cos(2 * np.pi * np.arange(240) / 24)).max()
+    lt = 2 * np.pi * np.outer(np.arange(240), np.arange(1, 13)) / 24
+    cos_err = np.abs(out - (np.cos(lt) @ g + np.sin(lt) @ h)).max()
     ok = period_err < 1e-9 and energy_err < 1e-9 and cos_err < 1e-9
     report(
         capsys,

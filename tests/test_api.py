@@ -66,6 +66,7 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert len(utdd.FEATURE_KINDS) == 5
     assert [f.name for f in fields(utdd.EmbeddingModel)] == ["feature", "lookup", "sse_reduction"]
     assert [f.name for f in fields(utdd.BoostedModel)] == ["stages", "epsilon", "k_diffs"]
+    assert [f.name for f in fields(utdd.SeasonalComponentConfig)] == ["s", "sigma_omega"]
     assert not hasattr(utdd.EmbeddingModel, "table")
     assert not hasattr(utdd.BoostedModel, "degenerate")
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__

@@ -180,7 +180,7 @@ NESTED_DEEP = "[" * 3000 + "]" * 3000
         json.dumps([]).encode(),
         json.dumps({**MINIMAL_CONFIG, "n": "abc"}).encode(),
         json.dumps({**MINIMAL_CONFIG, "trend": 5}).encode(),
-        json.dumps({**MINIMAL_CONFIG, "components": [{"s": 24, "init_gamma": 5}]}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "holidays": 5}).encode(),
         json.dumps({**MINIMAL_CONFIG, "drift": {"at": "bad"}}).encode(),
         json.dumps({**MINIMAL_CONFIG, "start": 5}).encode(),
         json.dumps({**MINIMAL_CONFIG, "seed": -1}).encode(),
@@ -188,16 +188,16 @@ NESTED_DEEP = "[" * 3000 + "]" * 3000
         json.dumps({**MINIMAL_CONFIG, "n": 48.7}).encode(),
         json.dumps({**MINIMAL_CONFIG, "components": [{"s": "24"}]}).encode(),
         json.dumps({**MINIMAL_CONFIG, "seed": True}).encode(),
-        json.dumps({**MINIMAL_CONFIG, "components": [{"s": 4, "init_gamma": "12"}]}).encode(),
+        json.dumps({**MINIMAL_CONFIG, "components": [{"s": 4, "sigma_omega": "12"}]}).encode(),
         json.dumps({**MINIMAL_CONFIG, "sigma_eps": "0.3"}).encode(),
         json.dumps({**MINIMAL_CONFIG, "step_seconds": float("nan")}).encode(),
         json.dumps({**MINIMAL_CONFIG, "step_seconds": 1e-7}).encode(),
         json.dumps(PAST_MEMORY).encode(),
         NESTED_DEEP.encode(),
     ],
-    ids=["list", "n-text", "trend-number", "init_gamma-number", "drift-at-text",
+    ids=["list", "n-text", "trend-number", "holidays-number", "drift-at-text",
          "start-number", "seed-negative", "utf16", "n-fraction", "s-text", "seed-bool",
-         "init_gamma-text", "sigma_eps-text", "step-nan", "step-rounds-to-0-us", "past-memory",
+         "sigma_omega-text", "sigma_eps-text", "step-nan", "step-rounds-to-0-us", "past-memory",
          "nested-deep"],
 )
 def test_simulate_malformed_config_exits_2(tmp_path, capsys, content):

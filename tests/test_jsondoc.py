@@ -27,7 +27,7 @@ CONFIG = {
     "step_seconds": 3600,
     "n": 48,
     "trend": {"level": 1.0, "slope": 0.0},
-    "components": [{"s": 24}, {"s": 4, "init_gamma": [1.0, 2.0]}],
+    "components": [{"s": 24}, {"s": 4, "sigma_omega": 0.01}],
     "holidays": ["2020-08-10"],
     "drift": {"at": "2020-08-02T00:00:00Z", "noise_scale": 2.0},
 }
@@ -60,10 +60,10 @@ FAULTS = [
     ("config", ("drift", "when"), "x", "drift.when"),
     ("config", ("drift", "at"), DELETE, "drift.at"),
     ("config", ("n",), DELETE, "n"),
-    ("config", ("components", 1, "init_gamma", 1), "x", "components[1].init_gamma[1]"),
+    ("config", ("components", 1, "sigma_omega"), "x", "components[1].sigma_omega"),
     ("config", ("trend", "slope"), NAN, "trend.slope"),
     ("config", ("sigma_eps",), INF, "sigma_eps"),
-    ("config", ("components", 1, "init_gamma", 0), -INF, "components[1].init_gamma[0]"),
+    ("config", ("components", 1, "sigma_omega"), -INF, "components[1].sigma_omega"),
     ("config", ("trend",), [1.0, 0.0], "trend"),
     ("config", ("components",), {"s": 24}, "components"),
     ("config", ("components", 0), [24], "components[0]"),
@@ -87,6 +87,9 @@ FAULTS = [
     ("report", ("z_ref",), NAN, "z_ref"),
     ("report", ("threshold",), INF, "threshold"),
     ("report", ("delta",), -INF, "delta"),
+    # the seed draws every initial state, so no key sets one
+    ("config", ("components", 1, "init_gamma"), [1.0, 2.0], "components[1].init_gamma"),
+    ("config", ("components", 0, "init_gamma_star"), [0.0] * 12, "components[0].init_gamma_star"),
 ]
 
 

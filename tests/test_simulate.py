@@ -60,10 +60,7 @@ def test_component_config_validation():
         SeasonalComponentConfig(1)
     with pytest.raises(InvalidArgumentError):
         SeasonalComponentConfig(24, -0.1)
-    with pytest.raises(InvalidArgumentError):
-        SeasonalComponentConfig(24, 0.0, init_gamma=(1.0,))  # needs p=12 values
-    ok = SeasonalComponentConfig(7, 0.0, init_gamma=(1.0, 2.0, 3.0))
-    assert ok.p == 3
+    assert SeasonalComponentConfig(7, 0.0).p == 3
 
 
 def test_sim_config_validation():
@@ -99,7 +96,7 @@ def test_config_from_document_setting_every_key():
         "trend": {"level": 3.0, "slope": 0.01},
         "components": [
             {"s": 24, "sigma_omega": 0.01},
-            {"s": 7, "init_gamma": [1.0, 2.0, 3.0], "init_gamma_star": [0.5, 0, -0.5]},
+            {"s": 7},
         ],
         "sigma_eps": 0.3,
         "weekend_scale": 0.8,
@@ -117,7 +114,7 @@ def test_config_from_document_setting_every_key():
         trend=TrendConfig(level=3.0, slope=0.01),
         components=(
             SeasonalComponentConfig(24, 0.01),
-            SeasonalComponentConfig(7, init_gamma=(1.0, 2.0, 3.0), init_gamma_star=(0.5, 0.0, -0.5)),
+            SeasonalComponentConfig(7),
         ),
         weekend_scale=0.8,
         holiday_offset=-2.0,
@@ -184,7 +181,7 @@ def one_component(comp, n, seed):
 
 def scalar_replay(cfg):
     # the documented consumption order, replayed one scalar draw at a time:
-    # missing initial states (gamma then gamma-star per component), then per
+    # the initial states (gamma then gamma-star per component), then per
     # step each component's interleaved harmonic pairs, then the noise draw
     rng = np.random.default_rng(cfg.seed)
     states = []
@@ -263,25 +260,24 @@ def test_zero_noise_component_is_periodic():
 
 
 def test_single_harmonic_is_a_cosine():
-    p = 12
-    comp = SeasonalComponentConfig(
-        24, 0.0, init_gamma=(1.0,) + (0.0,) * (p - 1), init_gamma_star=(0.0,) * p
-    )
-    out = one_component(comp, 240, seed=0)
-    t = np.arange(240)
-    assert_allclose(out, np.cos(2 * np.pi * t / 24), atol=1e-9)
+    # with no noise each harmonic j is g_j cos(l_j t) + h_j sin(l_j t) from its
+    # initial pair; the seed's first 2p draws are every gamma, then every gamma-star
+    g, h = np.random.default_rng(0).standard_normal(24).reshape(2, 12)
+    out = one_component(SeasonalComponentConfig(24, 0.0), 240, seed=0)
+    lt = 2 * np.pi * np.outer(np.arange(240), np.arange(1, 13)) / 24
+    assert_allclose(out, np.cos(lt) @ g + np.sin(lt) @ h, atol=1e-9)
 
 
 def test_zero_noise_rotation_conserves_energy():
     # with p=1 the hidden pair can be reconstructed from consecutive outputs;
-    # its squared norm must stay constant under the rotation
-    comp = SeasonalComponentConfig(3, 0.0, init_gamma=(0.8,), init_gamma_star=(-0.6,))
-    out = one_component(comp, 50, seed=0)
+    # its squared norm must stay that of the seeded initial pair
+    g0, h0 = np.random.default_rng(0).standard_normal(2)
+    out = one_component(SeasonalComponentConfig(3, 0.0), 50, seed=0)
     lam = 2 * np.pi / 3
     g = out
     h = (out[1:] - out[:-1] * np.cos(lam)) / np.sin(lam)
     energy = g[:-1] ** 2 + h**2
-    assert_allclose(energy, 1.0, atol=1e-9)
+    assert_allclose(energy, g0**2 + h0**2, atol=1e-9)
 
 
 def test_sigma_scaling_is_linear_in_the_draws():
