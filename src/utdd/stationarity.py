@@ -234,9 +234,9 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list]) -> AdfResult:
     Raises
     ------
     InvalidArgumentError
-        When the series is not one-dimensional, or leaves fewer than 10 usable
-        observations, or fewer than the regressor count plus 2, after lag
-        construction: every series of 20 points or fewer does.
+        When the series is not one-dimensional, or leaves fewer usable
+        observations than the regressor count plus 2 after lag construction:
+        every series of 20 points or fewer does.
     DegenerateInputError
         For a singular regression design, as every constant series gives.
     """
@@ -247,10 +247,10 @@ def adf_test(series: Union[TimeSeries, np.ndarray, list]) -> AdfResult:
     L = int(12.0 * (n / 100.0) ** 0.25)  # Schwert's rule
     nobs = n - 1 - L
     nreg = L + 2  # constant, lagged level, L lagged differences
-    if nobs < 10 or nobs < nreg + 2:
+    if nobs < nreg + 2:
         raise InvalidArgumentError(
             f"{n} points leave {nobs} usable observations for {nreg} regressors; "
-            "need at least 10 and regressors + 2"
+            f"need at least {nreg + 2}"
         )
     statistic = ols(x, L)
     return AdfResult(statistic=statistic, lags_used=L, critical_value_5pct=ADF_CRITICAL_5PCT,

@@ -72,6 +72,17 @@ def test_features_are_calendar_kinds_and_stages_dense_lookups():
     assert "degenerate" not in utdd.BoostedModel.__dataclass_fields__
 
 
+def test_pyproject_states_the_package_version_and_command():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    tables = dict(re.findall(r"^\[([\w.]+)\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S))
+    assert re.findall(r'^version = "(.*)"$', tables["project"], re.M) == [utdd.__version__]
+    [script] = re.findall(r'^utdd = "(.*)"$', tables["project.scripts"], re.M)
+    assert script == "utdd.cli:main"
+    module, name = script.split(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_readme_lists_exactly_the_exported_names():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text[text.index("The package exports exactly these pieces:"):]
