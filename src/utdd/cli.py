@@ -38,8 +38,8 @@ from typing import Optional, Sequence
 from .errors import InvalidArgumentError, UtddError
 from .jsondoc import NUMBER
 from .verdict import (
-    DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, load_report,
-    save_report,
+    DEFAULT_EPSILON, DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport,
+    load_report, save_report,
 )
 
 __all__ = ["main"]
@@ -219,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated feature kinds (default %(default)s)",
     )
     window_fit.add_argument("--holidays", help="comma-separated ISO dates for is_holiday")
-    window_fit.add_argument("--epsilon", type=_FLOAT, help="stage termination threshold")
+    window_fit.add_argument("--epsilon", type=_FLOAT, default=DEFAULT_EPSILON,
+                            help="stop tolerance, a fraction of the window's std (default %(default)s)")
     window_fit.add_argument("--max-diff", type=_INT, default=DEFAULT_MAX_DIFF,
                             help="differencing cap (default %(default)s)")
 

@@ -14,7 +14,7 @@ without touching the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, diff, is_flat, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict
 from .stationarity import MIN_WINDOW_POINTS, ndiffs
-from .verdict import DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport, check_positive, detect
+from .verdict import DEFAULT_EPSILON, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport
+from .verdict import check_positive, detect
 
 __all__ = [
     "WindowFit",
@@ -74,11 +75,10 @@ def compute_zscore(residual: Sequence[float]) -> float:
     return float(np.abs(r - r.mean()).mean() / r.std())
 
 
-def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: Optional[float] = None,
+def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: float = DEFAULT_EPSILON,
                   max_diff: int = DEFAULT_MAX_DIFF) -> BoostedModel:
     """``features`` boosted on ``window`` differenced ``ndiffs`` times, epsilon checked before ADF."""
-    if epsilon is not None:
-        check_positive(epsilon, "epsilon")
+    check_positive(epsilon, "epsilon")
     k = ndiffs(window, max_diff=max_diff).k
     return boosted_fit(window, features, epsilon=epsilon, k_diffs=k)
 
@@ -95,7 +95,7 @@ def run_utdd(
     current: TimeSeries,
     features: Sequence,
     *,
-    epsilon: Optional[float] = None,
+    epsilon: float = DEFAULT_EPSILON,
     max_diff: int = DEFAULT_MAX_DIFF,
     threshold: float = DEFAULT_THRESHOLD,
     reuse_model: bool = False,

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, read_json, write_json
 from .series import FeatureSpec, TimeSeries, diff, extract_feature, is_flat
-from .verdict import check_positive
+from .verdict import DEFAULT_EPSILON, check_positive
 
 __all__ = [
     "EmbeddingModel",
@@ -118,15 +118,15 @@ def fit_embedding(
 def boosted_fit(
     series: TimeSeries,
     features: Sequence[FeatureSpec],
-    epsilon: Optional[float] = None,
+    epsilon: float = DEFAULT_EPSILON,
     k_diffs: int = 0,
 ) -> BoostedModel:
     """Fit embedding stages to ``diff(series, k_diffs)`` in the given feature order.
 
     Each stage fits the residual left by its predecessors; a stage whose RMS
-    contribution falls below ``epsilon`` stops the loop and is discarded.
-    ``epsilon`` defaults to ``1e-3`` times the population std of the
-    differenced target (an absolute value may be passed instead).
+    contribution falls below ``epsilon`` times the population std of the
+    differenced target stops the loop and is discarded.  The model keeps that
+    product as its ``epsilon``, so a change of units moves no stage.
 
     A target with no variance after differencing (:func:`is_flat`) yields a
     model with zero stages; :func:`compute_zscore` refuses to score its
@@ -135,8 +135,7 @@ def boosted_fit(
     features = list(features)
     if not features:
         raise InvalidArgumentError("need at least one candidate feature")
-    if epsilon is not None:
-        check_positive(epsilon, "epsilon")
+    check_positive(epsilon, "epsilon")
     k_diffs = int(k_diffs)
     max_card = max(spec.cardinality for spec in features)
     if len(series) - k_diffs < 2 * max_card:
@@ -148,10 +147,8 @@ def boosted_fit(
     work = diff(series, k_diffs)
     residual = work.values
     if is_flat(residual):
-        return BoostedModel(
-            stages=(), epsilon=float(epsilon) if epsilon is not None else 0.0, k_diffs=k_diffs
-        )
-    eps = float(epsilon) if epsilon is not None else 1e-3 * float(residual.std())
+        return BoostedModel(stages=(), epsilon=0.0, k_diffs=k_diffs)
+    eps = epsilon * float(residual.std())
 
     stages: list[EmbeddingModel] = []
     for spec in features:

@@ -17,14 +17,16 @@ from .errors import InvalidArgumentError
 from .jsondoc import json_object, json_version, read_json, write_json
 
 __all__ = [
-    "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD", "REPORT_FORMAT_VERSION",
-    "DriftReport", "check_positive", "detect", "report_from_dict", "save_report", "load_report",
+    "DEFAULT_EPSILON", "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD",
+    "REPORT_FORMAT_VERSION", "DriftReport", "check_positive", "detect", "report_from_dict",
+    "save_report", "load_report",
 ]
 
 # Coarse-to-fine calendar structure.
 DEFAULT_FEATURE_ORDER = ("day_of_week", "hour_of_day", "is_holiday", "month_of_year")
 
 DEFAULT_MAX_DIFF = 4  # highest differencing order ndiffs tries unless told otherwise
+DEFAULT_EPSILON = 1e-3  # booster stop tolerance, a fraction of the differenced window's std
 
 # Smallest round value below the delta this detector is meant to flag.
 DEFAULT_THRESHOLD = 0.1

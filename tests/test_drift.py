@@ -34,7 +34,7 @@ from utdd import (
 )
 from utdd.drift import write_fit_csv, write_residual_csv
 from utdd.series import write_timestamp_table
-from utdd.verdict import DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
+from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
@@ -272,26 +272,42 @@ def test_one_flatness_rule_for_ndiffs_boosted_fit_and_zscore():
         run_utdd(flat, flat, FEATS)
 
 
+def readme_windows(a=1.0, b=0.0, **options):
+    """``run_utdd`` on the README windows of ``a * fixture + b``."""
+    s = affine(fixture_series(), a, b)
+    return run_utdd(s.window(T0, OCT), s.window(SEP, NOV), FEATS, **options)
+
+
 @lru_cache(maxsize=None)
-def fixture_result(reuse_model):
-    s = fixture_series()
-    return run_utdd(s.window(T0, OCT), s.window(SEP, NOV), FEATS, reuse_model=reuse_model)
+def fixture_result(reuse_model, epsilon=DEFAULT_EPSILON):
+    return readme_windows(reuse_model=reuse_model, epsilon=epsilon)
 
 
 @given(
     a=st.floats(min_value=1e-3, max_value=1e3),
     b=st.floats(min_value=-1e3, max_value=1e3),
     reuse_model=st.booleans(),
+    epsilon=st.sampled_from([DEFAULT_EPSILON, 0.01, 0.3]),
 )
 @settings(max_examples=60, deadline=None)
-def test_pipeline_is_affine_invariant(a, b, reuse_model):
-    s = affine(fixture_series(), a, b)
-    moved = run_utdd(s.window(T0, OCT), s.window(SEP, NOV), FEATS, reuse_model=reuse_model)
-    base = fixture_result(reuse_model)
+def test_pipeline_is_affine_invariant(a, b, reuse_model, epsilon):
+    moved = readme_windows(a, b, reuse_model=reuse_model, epsilon=epsilon)
+    base = fixture_result(reuse_model, epsilon)
     assert moved.k_diffs == base.k_diffs
     assert moved.report.drifted == base.report.drifted
     assert abs(moved.report.z_ref - base.report.z_ref) < 1e-9
     assert abs(moved.report.z_curr - base.report.z_curr) < 1e-9
+
+
+@given(e=st.integers(min_value=-20, max_value=60), sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=30, deadline=None)
+def test_power_of_two_units_move_no_number_of_the_report(e, sign):
+    # epsilon is a fraction of each window's spread, so even an epsilon that
+    # drops stages sees the same stages in every unit; scaling by 2^e is exact
+    moved = readme_windows(sign * 2.0**e, epsilon=0.01).report
+    base = fixture_result(False, 0.01).report
+    assert (moved.k_diffs, moved.z_ref, moved.z_curr, moved.drifted) == (
+        base.k_diffs, base.z_ref, base.z_curr, base.drifted)
 
 
 @given(

@@ -155,6 +155,8 @@ def test_boosted_fit_default_epsilon_is_relative():
     d = diff(s, 1)
     model1 = boosted_fit(s, (DOW, HOD), k_diffs=1)
     assert_allclose(model1.epsilon, 1e-3 * d.values.std())
+    # a given epsilon is a fraction of that std too, never a value in data units
+    assert boosted_fit(s, (DOW, HOD), epsilon=0.25, k_diffs=1).epsilon == 0.25 * float(d.values.std())
 
 
 def test_boosted_fit_with_differencing_replays_consistently():
@@ -180,9 +182,10 @@ def test_boosted_predict_on_heldout_grid():
 
 def test_boosted_fit_degenerate_constant_series():
     s = hourly(np.full(400, 2.5))
-    model = boosted_fit(s, (DOW, HOD), k_diffs=0)
-    assert model.stages == ()
-    assert model.epsilon == 0.0
+    for epsilon in (1e-3, 0.5):
+        model = boosted_fit(s, (DOW, HOD), epsilon=epsilon, k_diffs=0)
+        assert model.stages == ()
+        assert model.epsilon == 0.0
 
 
 def test_boosted_fit_refuses_a_negative_differencing_order():
