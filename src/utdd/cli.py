@@ -97,6 +97,8 @@ def _features(args: argparse.Namespace) -> tuple:
         if not kind:
             raise InvalidArgumentError("--features contains an empty entry")
         specs.append(FeatureSpec(kind, holiday_dates=holidays if kind == "is_holiday" else None))
+    if args.holidays is not None and all(spec.kind != "is_holiday" for spec in specs):
+        raise InvalidArgumentError("--holidays is given, but --features lists no is_holiday")
     return tuple(specs)
 
 

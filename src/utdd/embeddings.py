@@ -135,6 +135,9 @@ def boosted_fit(
     features = list(features)
     if not features:
         raise InvalidArgumentError("need at least one candidate feature")
+    if len(set(features)) < len(features):
+        # a second copy explains nothing the first left, so it would stop the loop
+        raise InvalidArgumentError("each candidate feature may be listed once")
     check_positive(epsilon, "epsilon")
     k_diffs = int(k_diffs)
     max_card = max(spec.cardinality for spec in features)

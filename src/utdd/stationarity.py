@@ -12,11 +12,12 @@ a shifted copy of the one vector ``dx``, so their Gram matrix follows from two
 correlations and a shift recurrence at O(n L) cost, without forming the
 matrix.  When that Gram matrix is well-conditioned, its Cholesky factor is R;
 otherwise the explicit matrix is factored by CholeskyQR2 (Yamamoto,
-Nakatsukasa, Yanagisawa & Fukaya 2015) or, when that is unsafe, by
-Householder QR.  Q is never formed.  The statistic is compared against the
-asymptotic 5% critical value for the constant-only case (-2.86).  No
-finite-sample critical-value surface or p-value interpolation is attempted:
-callers only need the stationary / non-stationary verdict.
+Nakatsukasa, Yanagisawa & Fukaya 2015), which forms Q one block of rows at a
+time and so never holds it whole, or, when that is unsafe, by Householder
+QR.  The statistic is compared against the asymptotic 5% critical value for
+the constant-only case (-2.86).  No finite-sample critical-value surface or
+p-value interpolation is attempted: callers only need the stationary /
+non-stationary verdict.
 """
 
 from __future__ import annotations
@@ -266,7 +267,8 @@ def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult
     search without a degenerate regression.  A level whose ADF design is
     singular (e.g. a pure linear ramp, whose differences are a nonzero
     constant) counts as non-stationary and the search moves on.  If no level
-    passes, ``k = max_diff`` is returned with the full trail.
+    passes, ``k = max_diff`` is returned with the full trail.  A level too
+    short for :func:`adf_test` is refused with a message naming ``max_diff``.
     """
     if len(series) < MIN_WINDOW_POINTS:
         raise InvalidArgumentError(
@@ -285,6 +287,8 @@ def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult
             result = adf_test(candidate)
         except DegenerateInputError:
             continue
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"max_diff {max_diff}: difference {k}: {exc}") from None
         trail.append(result)
         if result.stationary:
             return NdiffsResult(k=k, trail=tuple(trail))

@@ -485,6 +485,44 @@ def test_detect_refuses_a_bad_holiday_date(fixture_csv, tmp_path, capsys):
     assert not report_out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "detect"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # no stage would read the dates, so the run would silently ignore them
+        (["--features", "day_of_week,hour_of_day", "--holidays", "2020-08-10"],
+         "--holidays is given, but --features lists no is_holiday"),
+        # the second copy would contribute about 0 and stop boosting before hour_of_day
+        (["--features", "day_of_week,day_of_week,hour_of_day"],
+         "each candidate feature may be listed once"),
+        # 30 points of a sinusoid reach difference 10 of 12, too short for an ADF test
+        (["--features", "day_of_week", "--max-diff", "12"],
+         "max_diff 12: difference 10: "
+         "20 points leave 11 usable observations for 10 regressors; need at least 12"),
+    ],
+    ids=["holidays-without-is-holiday", "repeated-feature", "max-diff-past-adf-bound"],
+)
+def test_fit_and_detect_refuse_flags_that_would_mislead(tmp_path, capsys, command, flags, message):
+    # two 30-point hourly windows, the first a sinusoid that never tests stationary
+    series = tmp_path / "sin.csv"
+    write_series_csv(utdd.TimeSeries(parse_utc("2020-08-01T00:00:00Z"), 3600.0,
+                                     np.sin(np.arange(60) / 3.0)), series)
+    cut, end = "2020-08-02T06:00:00Z", "2020-08-03T12:00:00Z"
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "fit":
+        windows = ["--from", "2020-08-01T00:00:00Z", "--to", cut, "--model-out"]
+    else:
+        windows = ["--ref-from", "2020-08-01T00:00:00Z", "--ref-to", cut,
+                   "--cur-from", cut, "--cur-to", end, "--report-out"]
+    code = main([command, "--input", str(series), *flags, *windows, str(out / "out.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_report_mirrors_verdict(fixture_csv, tmp_path, capsys):
     drift_report = tmp_path / "drift.json"
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,

@@ -207,6 +207,17 @@ def test_boosted_fit_validation():
         boosted_fit(hourly(np.arange(40.0)), (HOD,), k_diffs=0)
 
 
+def test_boosted_fit_refuses_a_repeated_feature():
+    # a second day_of_week stage would contribute about 0 and stop the loop before hour_of_day
+    s = weeks(4, seed=7)
+    with pytest.raises(InvalidArgumentError, match="^each candidate feature may be listed once$"):
+        boosted_fit(s, (DOW, DOW, HOD), k_diffs=0)
+    # is_holiday stages on different dates are different features
+    first, second = (FeatureSpec("is_holiday", holiday_dates=frozenset([date(2020, 8, d)]))
+                     for d in (4, 11))
+    assert boosted_fit(s, (DOW, HOD, first, second), k_diffs=0).stages
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

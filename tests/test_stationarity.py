@@ -519,3 +519,14 @@ def test_ndiffs_rejects_bad_max_diff():
     rng = np.random.default_rng(12)
     with pytest.raises(InvalidArgumentError):
         ndiffs(hourly(rng.standard_normal(100)), max_diff=-1)
+
+
+def test_ndiffs_names_max_diff_when_a_level_is_too_short_for_adf():
+    # the sinusoid never tests stationary, so the search reaches the 10th difference
+    x = np.sin(np.arange(30) / 3.0)
+    with pytest.raises(InvalidArgumentError) as err:
+        ndiffs(hourly(x), max_diff=12)
+    assert str(err.value) == (
+        "max_diff 12: difference 10: "
+        "20 points leave 11 usable observations for 10 regressors; need at least 12"
+    )
