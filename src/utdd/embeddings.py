@@ -152,6 +152,8 @@ def boosted_fit(
     if is_flat(residual):
         return BoostedModel(stages=(), epsilon=0.0, k_diffs=k_diffs)
     eps = epsilon * float(residual.std())
+    if eps == math.inf:
+        raise InvalidArgumentError("epsilon times the std of the differenced target overflows")
 
     stages: list[EmbeddingModel] = []
     for spec in features:

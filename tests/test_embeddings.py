@@ -146,6 +146,10 @@ def test_boosted_fit_huge_epsilon_gives_empty_model():
     assert model.stages == ()
     grid = hourly(np.zeros(24))
     assert_array_equal(boosted_predict(model, grid), np.zeros(24))
+    # a tolerance past the largest float cannot be stored in the model
+    message = "^epsilon times the std of the differenced target overflows$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        boosted_fit(s, (DOW, HOD), epsilon=1e308, k_diffs=0)
 
 
 def test_boosted_fit_default_epsilon_is_relative():
