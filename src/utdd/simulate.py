@@ -15,7 +15,12 @@ The step loop advances every harmonic of every component as one stacked
 ``(sum p, 2)`` state of ``(g, h)`` rows, a few whole-array operations per
 step.  It is still the literal recursion above, evaluated term by term in the
 same order, so the output is bit for bit that of a per-harmonic scalar loop
-(no closed form, whose rounding would differ).
+(no closed form, whose rounding would differ).  Steps are drawn and advanced
+one block of ``_BLOCK_STEPS`` at a time, carrying the state from block to
+block, so memory is O(n + block * sum p) rather than O(n * sum p).  A
+generator gives the same stream in one call or in several, and each step's
+arithmetic is the same in any block, so the output does not depend on the
+block size.
 
 Reproducibility contract: all randomness comes from one numpy PCG64 generator
 (``numpy.random.default_rng(seed)``) producing standard normals via numpy's
@@ -50,6 +55,9 @@ __all__ = [
     "sim_config_from_dict",
     "load_sim_config",
 ]
+
+# Steps drawn and advanced at a time; the output does not depend on it.
+_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -139,27 +147,30 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
     comps = cfg.components
+    # the n-length outputs come first, so a series too long to hold fails before any draw
+    eps = np.empty(n, dtype=np.float64)
+    seasonal = np.zeros(n, dtype=np.float64)
 
     gamma: list = []
     gamma_star: list = []
     for comp in comps:
         gamma.extend(rng.standard_normal(comp.p))
         gamma_star.extend(rng.standard_normal(comp.p))
+    state = np.column_stack([gamma, gamma_star]).astype(np.float64)
 
     # one row per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
     bounds = np.cumsum([0] + [comp.p for comp in comps])
     total_p = int(bounds[-1])
-    noise = rng.standard_normal(n * (2 * total_p + 1)).reshape(n, 2 * total_p + 1)
-    for comp, lo, hi in zip(comps, bounds, bounds[1:]):
-        noise[:, 2 * lo : 2 * hi] *= comp.sigma_omega
-    eps = noise[:, -1]
+    for first in range(0, n, _BLOCK_STEPS):
+        rows = slice(first, min(first + _BLOCK_STEPS, n))
+        noise = rng.standard_normal((rows.stop - first, 2 * total_p + 1))
+        for comp, lo, hi in zip(comps, bounds, bounds[1:]):
+            noise[:, 2 * lo : 2 * hi] *= comp.sigma_omega
+        eps[rows] = noise[:, -1]
+        gammas = _gamma_history(comps, state, noise[:, : 2 * total_p])
+        for lo, hi in zip(bounds, bounds[1:]):
+            seasonal[rows] += gammas[:, lo:hi].sum(axis=1)
     eps *= cfg.sigma_eps
-
-    state = np.column_stack([gamma, gamma_star]).astype(np.float64)
-    gammas = _gamma_history(comps, state, noise[:, : 2 * total_p])
-    seasonal = np.zeros(n, dtype=np.float64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        seasonal += gammas[:, lo:hi].sum(axis=1)
 
     grid = TimeSeries(cfg.start, cfg.step, np.zeros(n))
     weekend = extract_feature(grid, FeatureSpec("is_weekend"))
@@ -188,13 +199,14 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
 
 
 def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Advance every harmonic of every component at once; return gamma per step.
+    """Advance every harmonic of every component through one block of steps; return gamma per step.
 
     ``state`` is a C-ordered ``(total_p, 2)`` array, advanced in place: one
     ``(gamma, gamma-star)`` row per harmonic, the components' harmonics one
-    after another.  ``draws`` is ``(n, 2 * total_p)``, each step's scaled
-    ``w_1, w*_1, ..., w_p, w*_p`` pairs in the same order.  Row ``t`` of the
-    result is gamma before step ``t``'s update.
+    after another.  ``draws`` is ``(rows, 2 * total_p)``, each step's scaled
+    ``w_1, w*_1, ..., w_p, w*_p`` pairs in the same order, for the block's
+    rows only, so the history takes ``rows * total_p`` floats.  Row ``t`` of
+    the result is gamma before the block's step ``t`` updates ``state``.
     """
     n, total_p = draws.shape[0], state.shape[0]
     lam = np.array([2.0 * np.pi * j / comp.s for comp in comps for j in range(1, comp.p + 1)])

@@ -1,7 +1,10 @@
 """Tests for the seasonal series generator and its reproducibility contract."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +22,12 @@ from utdd import (
     load_sim_config,
     simulate_series,
 )
-from utdd.simulate import sim_config_from_dict
+from utdd.simulate import _BLOCK_STEPS, sim_config_from_dict
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
 OCT = datetime(2020, 10, 1, tzinfo=UTC)
+TWO_YEAR_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "two_year.json"
 
 
 def base_cfg(**kw):
@@ -215,6 +219,9 @@ def test_draw_order_matches_scalar_replay():
         seed=99,
     )
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
+    # the last of 2 * _BLOCK_STEPS + 1 steps is a block of one row
+    cfg = replace(cfg, n=2 * _BLOCK_STEPS + 1)
+    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
 def test_draw_order_matches_scalar_replay_at_bench_shape():
@@ -233,6 +240,18 @@ def test_draw_order_matches_scalar_replay_at_bench_shape():
         seed=2019,
     )
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
+
+
+def test_simulation_memory_grows_with_steps_not_harmonics():
+    # two years hourly with 96 harmonics: a whole-run draw matrix alone would take 27 MB
+    cfg = load_sim_config(TWO_YEAR_CONFIG)
+    tracemalloc.start()
+    try:
+        simulate_series(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_component_draw_order_matches_scalar_replay():
