@@ -292,7 +292,11 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 # time, each field in order and the grid of the first two rows with it, and so
 # defines every row error and its line; `_read_grid` returns the same for a file
 # the writer could have written, in a few whole-column steps, and None otherwise.
+# The writer and `_read_grid` work on `_BLOCK_ROWS` rows at a time, so the text
+# of only one block is held as Python strings; the bytes do not depend on it.
 # ---------------------------------------------------------------------------
+
+_BLOCK_ROWS = 4096
 
 
 def _format_stamps(us: np.ndarray) -> list[str]:
@@ -328,13 +332,23 @@ def _header(columns) -> str:
 
 
 def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarray]) -> None:
-    """Write a CSV row per point of ``grid``; ``columns`` maps each name to its floats."""
-    fields = [_format_stamps(grid.epoch_us())]
-    fields += [list(map(repr, np.asarray(a, np.float64).tolist())) for a in columns.values()]
-    rows = map(",".join, zip(*fields, strict=True))
-    text = "\n".join([_header(columns), *rows, ""])
+    """Write a CSV row per point of ``grid``; ``columns`` maps each name to its floats.
+
+    Every column is checked to hold one value per point before the file is opened.
+    """
+    header = _header(columns)
+    arrays = [np.asarray(a, np.float64) for a in columns.values()]
+    for name, a in zip(columns, arrays):
+        if a.shape != (len(grid),):
+            raise InvalidArgumentError(f"column {name!r}: {a.size} values for {len(grid)} points")
+    us = grid.epoch_us()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(header + "\n")
+        for first in range(0, len(grid), _BLOCK_ROWS):
+            rows = slice(first, first + _BLOCK_ROWS)
+            fields = [_format_stamps(us[rows])]
+            fields += [list(map(repr, a[rows].tolist())) for a in arrays]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
 
 
 # The value texts the reader accepts, one per line.
@@ -374,22 +388,34 @@ def _read_rows(body: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _read_grid(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """What :func:`_read_rows` returns, if the rows (two or more) have finite values and
-    the stamps are the writer's text of the ascending grid of the first two; else None."""
-    if len(body) < 2 or any(line.count(",") != 1 for line in body):
+    the stamps are the writer's text of the ascending grid of the first two; else None.
+
+    The rows are checked and parsed one block at a time, each in a few whole-column steps.
+    """
+    if len(body) < 2:
         return None
-    fields = ",".join(body).split(",")
-    stamps, values = fields[0::2], fields[1::2]
-    if not _NUMBERS.fullmatch("\n".join(values)):
-        return None
+    # the stamps of the first two and the last line; each block checks its lines' commas
     try:
-        first, second = (utc_us(parse_utc(text)) for text in stamps[:2])
-        parse_utc(stamps[-1])  # the last stamp keeps the whole grid in datetime's range
+        first, second = (utc_us(parse_utc(line.split(",")[0])) for line in body[:2])
+        parse_utc(body[-1].split(",")[0])  # the last stamp keeps the whole grid in datetime's range
     except ValueError:
         return None
-    data = np.array(list(map(float, values)))
-    grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
-    if second <= first or not np.isfinite(data).all() or _format_stamps(grid) != stamps:
+    if second <= first:
         return None
+    grid = first + np.arange(len(body), dtype=np.int64) * (second - first)
+    data = np.empty(len(body), dtype=np.float64)
+    for start in range(0, len(body), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = body[rows]
+        if any(line.count(",") != 1 for line in block):
+            return None
+        fields = ",".join(block).split(",")
+        stamps, values = fields[0::2], fields[1::2]
+        if not _NUMBERS.fullmatch("\n".join(values)):
+            return None
+        data[rows] = list(map(float, values))
+        if not np.isfinite(data[rows]).all() or _format_stamps(grid[rows]) != stamps:
+            return None
     return grid, data
 
 

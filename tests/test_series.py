@@ -20,6 +20,7 @@ from utdd import (
     write_series_csv,
 )
 from utdd.series import (
+    _BLOCK_ROWS,
     FEATURE_KINDS,
     format_utc,
     is_flat,
@@ -401,11 +402,13 @@ def test_series_csv_roundtrip(tmp_path):
 
 def test_series_csv_write_read_write_byte_identical(tmp_path):
     values = np.array([0.1, 1.0 / 3.0, 1e-300, 1e300, -0.0, 2.0**-52, 123456789.123456789])
-    s = hourly(values)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_series_csv(s, p1)
-    write_series_csv(read_series_csv(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    # the last of 2 * _BLOCK_ROWS + 1 rows is a block of one row
+    for rows in (len(values), 2 * _BLOCK_ROWS + 1):
+        s = hourly(np.resize(values, rows))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_series_csv(s, p1)
+        write_series_csv(read_series_csv(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 @given(
@@ -458,6 +461,27 @@ def test_csv_bad_rows_report_line_numbers(tmp_path):
         with pytest.raises(CsvFormatError) as err:
             read_series_csv(path)
         assert err.value.line == line, text
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("{stamp},abc", "bad numeric value"),
+     ("{late},1.0", "expected timestamp {stamp}, found {late}"),
+     ("{stamp},1.0,2.0", "expected 2 fields, found 3")],
+    ids=["bad-value", "off-grid", "three-fields"],
+)
+def test_csv_faults_in_the_last_block_name_their_line(tmp_path, row, message):
+    s = hourly(np.zeros(2 * _BLOCK_ROWS + 1))
+    path = tmp_path / "s.csv"
+    write_series_csv(s, path)
+    last = s.timestamp(len(s) - 1)
+    stamps = {"stamp": format_utc(last), "late": format_utc(last + timedelta(minutes=30))}
+    lines = path.read_text().splitlines()
+    lines[-1] = row.format(**stamps)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError) as err:
+        read_series_csv(path)
+    assert str(err.value) == f"line {len(s) + 1}: " + message.format(**stamps)
 
 
 def test_csv_irregular_spacing_rejected(tmp_path):
@@ -593,6 +617,23 @@ def test_timestamp_table_header_is_one_rule(tmp_path):
         with pytest.raises(CsvFormatError) as err:
             read_series_csv(path)
         assert str(err.value) == "line 1: expected header 'timestamp,value'"
+
+
+def test_csv_memory_grows_with_rows_not_text(tmp_path):
+    # two years hourly: every row's text held at once took 16.3 MB to read, 5.05 MB to write
+    s = hourly(np.random.default_rng(5).normal(50.0, 5.0, 17_520))
+    path = tmp_path / "s.csv"
+    peaks = []
+    for call, args in ((write_series_csv, (s, path)), (read_series_csv, (path,))):
+        tracemalloc.start()
+        try:
+            call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    write_peak, read_peak = peaks
+    assert write_peak < 3e6
+    assert read_peak < 8e6
 
 
 def test_timestamp_table_writer_needs_one_value_per_point(tmp_path):
@@ -818,7 +859,7 @@ def test_writer_output_takes_the_grid_shortcut(tmp_path, monkeypatch):
 
     monkeypatch.setattr("utdd.series._read_rows", row_by_row)
     odd = TimeSeries(T0.replace(microsecond=250), 0.5, [1.5, -2.0, 3.0])
-    for s in (hourly(np.arange(48.0) ** 0.5), odd):
+    for s in (hourly(np.arange(48.0) ** 0.5), hourly(np.arange(2 * _BLOCK_ROWS + 1.0) ** 0.5), odd):
         write_series_csv(s, tmp_path / "s.csv")
         back = read_series_csv(tmp_path / "s.csv")
         assert (back.start, back.step) == (s.start, s.step)
