@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, diff, is_flat, write_timestamp_table
-from .embeddings import BoostedModel, boosted_fit, boosted_predict
+from .embeddings import BoostedModel, boosted_fit, boosted_predict, check_features
 from .stationarity import MIN_WINDOW_POINTS, ndiffs
 from .verdict import DEFAULT_EPSILON, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport
 from .verdict import check_positive, detect
@@ -77,7 +77,8 @@ def compute_zscore(residual: Sequence[float]) -> float:
 
 def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: float = DEFAULT_EPSILON,
                   max_diff: int = DEFAULT_MAX_DIFF) -> BoostedModel:
-    """``features`` boosted on ``window`` differenced ``ndiffs`` times, epsilon checked before ADF."""
+    """``features`` boosted on ``window`` differenced ``ndiffs`` times; both checked before ADF."""
+    features = check_features(features)
     check_positive(epsilon, "epsilon")
     k = ndiffs(window, max_diff=max_diff).k
     return boosted_fit(window, features, epsilon=epsilon, k_diffs=k)

@@ -26,6 +26,7 @@ __all__ = [
     "EmbeddingModel",
     "BoostedModel",
     "fit_embedding",
+    "check_features",
     "boosted_fit",
     "boosted_predict",
     "MODEL_FORMAT_VERSION",
@@ -115,6 +116,17 @@ def fit_embedding(
     return EmbeddingModel(feature=spec, lookup=lookup, sse_reduction=sse_reduction)
 
 
+def check_features(features: Sequence[FeatureSpec]) -> list:
+    """The candidate ``features`` as a list; refuses an empty list and a repeated feature."""
+    features = list(features)
+    if not features:
+        raise InvalidArgumentError("need at least one candidate feature")
+    if len(set(features)) < len(features):
+        # a second copy explains nothing the first left, so it would stop the loop
+        raise InvalidArgumentError("each candidate feature may be listed once")
+    return features
+
+
 def boosted_fit(
     series: TimeSeries,
     features: Sequence[FeatureSpec],
@@ -132,12 +144,7 @@ def boosted_fit(
     model with zero stages; :func:`compute_zscore` refuses to score its
     residual.
     """
-    features = list(features)
-    if not features:
-        raise InvalidArgumentError("need at least one candidate feature")
-    if len(set(features)) < len(features):
-        # a second copy explains nothing the first left, so it would stop the loop
-        raise InvalidArgumentError("each candidate feature may be listed once")
+    features = check_features(features)
     check_positive(epsilon, "epsilon")
     k_diffs = int(k_diffs)
     max_card = max(spec.cardinality for spec in features)

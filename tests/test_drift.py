@@ -32,7 +32,7 @@ from utdd import (
     save_report,
     simulate_series,
 )
-from utdd.drift import write_fit_csv, write_residual_csv
+from utdd.drift import fit_reference, write_fit_csv, write_residual_csv
 from utdd.series import write_timestamp_table
 from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
 
@@ -205,6 +205,21 @@ def test_run_utdd_refuses_is_holiday_without_dates_before_ndiffs(monkeypatch):
     monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
     with pytest.raises(InvalidArgumentError, match="is_holiday requires holiday_dates"):
         run_utdd(s.window(T0, SEP), s.window(SEP, OCT), (FeatureSpec("is_holiday"),))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "features, message",
+    [((), "need at least one candidate feature"),
+     ((FeatureSpec("day_of_week"),) * 2, "each candidate feature may be listed once")],
+    ids=["empty", "repeated"],
+)
+def test_fit_reference_refuses_a_bad_feature_list_before_ndiffs(monkeypatch, features, message):
+    s = two_month_series(seed=7)
+    calls = []
+    monkeypatch.setattr("utdd.drift.ndiffs", lambda *a, **k: calls.append(a))
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        fit_reference(s.window(T0, SEP), features)
     assert calls == []
 
 
