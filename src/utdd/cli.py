@@ -147,9 +147,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     _load("series", "embeddings", "drift")
+    features = _features(args)
     series = read_series_csv(args.input)
     window = _window(series, args.window_from, args.window_to, "--from/--to")
-    features = _features(args)
     model = fit_reference(window, features, epsilon=args.epsilon, max_diff=args.max_diff)
     save_model(model, args.model_out)
     if not model.stages:
@@ -169,10 +169,10 @@ def _sibling(report_out: str, suffix: str) -> str:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     _load("series", "drift")
+    features = _features(args)
     series = read_series_csv(args.input)
     reference = _window(series, args.ref_from, args.ref_to, "--ref-from/--ref-to")
     current = _window(series, args.cur_from, args.cur_to, "--cur-from/--cur-to")
-    features = _features(args)
     result = run_utdd(
         reference,
         current,

@@ -523,6 +523,22 @@ def test_fit_and_detect_refuse_flags_that_would_mislead(tmp_path, capsys, comman
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["fit", "detect"])
+def test_fit_and_detect_refuse_flags_before_reading_the_input(tmp_path, capsys, command):
+    # the refused flag is named, not the input that was never opened
+    if command == "fit":
+        windows = ["--from", "2020-08-01T00:00:00Z", "--to", "2020-10-01T00:00:00Z", "--model-out"]
+    else:
+        windows = [*REF, *CUR, "--report-out"]
+    code = main([command, "--input", str(tmp_path / "missing.csv"), "--features", "day_of_week",
+                 "--holidays", "2020-08-01", *windows, str(tmp_path / "out.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --holidays is given, but --features lists no is_holiday\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_mirrors_verdict(fixture_csv, tmp_path, capsys):
     drift_report = tmp_path / "drift.json"
     assert main(["detect", "--input", str(fixture_csv), *REF, *CUR,
