@@ -348,7 +348,7 @@ def write_timestamp_table(path, grid: TimeSeries, columns: Mapping[str, np.ndarr
             rows = slice(first, first + _BLOCK_ROWS)
             fields = [_format_stamps(us[rows])]
             fields += [list(map(repr, a[rows].tolist())) for a in arrays]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*fields)]))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 # The value texts the reader accepts, one per line.
