@@ -392,12 +392,12 @@ def _read_grid(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
     The rows are checked and parsed one block at a time, each in a few whole-column steps.
     """
-    if len(body) < 2:
+    if len(body) < 2 or any(line.count(",") != 1 for line in body):
         return None
-    # the stamps of the first two and the last line; each block checks its lines' commas
     try:
         first, second = (utc_us(parse_utc(line.split(",")[0])) for line in body[:2])
-        parse_utc(body[-1].split(",")[0])  # the last stamp keeps the whole grid in datetime's range
+        # the last stamp keeps the whole grid in datetime's range
+        parse_utc(body[-1].split(",")[0])
     except ValueError:
         return None
     if second <= first:
@@ -406,10 +406,7 @@ def _read_grid(body: list[str]) -> Optional[tuple[np.ndarray, np.ndarray]]:
     data = np.empty(len(body), dtype=np.float64)
     for start in range(0, len(body), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        block = body[rows]
-        if any(line.count(",") != 1 for line in block):
-            return None
-        fields = ",".join(block).split(",")
+        fields = ",".join(body[rows]).split(",")
         stamps, values = fields[0::2], fields[1::2]
         if not _NUMBERS.fullmatch("\n".join(values)):
             return None

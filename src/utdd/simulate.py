@@ -199,7 +199,7 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
 
 
 def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Advance every harmonic of every component through one block of steps; return gamma per step.
+    """Advance every harmonic of every component through one block; return gamma per step.
 
     ``state`` is a C-ordered ``(total_p, 2)`` array, advanced in place: one
     ``(gamma, gamma-star)`` row per harmonic, the components' harmonics one
