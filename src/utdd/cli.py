@@ -22,6 +22,12 @@ Each process imports only what its command runs: the module level holds the
 standard library and the stdlib-only :mod:`utdd.verdict`, so ``report``,
 ``--help`` and usage errors start without numpy, ``simulate`` loads no
 pipeline module and ``detect`` no simulator.
+
+A command runs OpenBLAS on one thread: its matrix products are too small to
+repay waking more, and starting them slows numpy's import.  ``main`` sets
+``OPENBLAS_NUM_THREADS=1`` only when the variable is unset and numpy is not
+yet loaded, so a user's value wins, and neither ``import utdd`` nor a caller
+that has already loaded numpy is affected.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import InvalidArgumentError, UtddError
 from .jsondoc import NUMBER
 from .verdict import (
     DEFAULT_EPSILON, DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport,
-    load_report, save_report,
+    check_max_diff, check_positive, load_report, save_report,
 )
 
 __all__ = ["main"]
@@ -102,12 +108,12 @@ def _features(args: argparse.Namespace) -> tuple:
     return tuple(specs)
 
 
-def _window(series: TimeSeries, from_text: str, to_text: str, what: str) -> TimeSeries:
+def _bounds(from_text: str, to_text: str, what: str) -> tuple:
+    """The parsed ``(start_at, end_before)`` of a window, read before its input is."""
     try:
-        start_at, end_before = parse_utc(from_text), parse_utc(to_text)
+        return parse_utc(from_text), parse_utc(to_text)
     except ValueError as exc:
         raise InvalidArgumentError(f"{what}: {exc}") from None
-    return series.window(start_at, end_before)
 
 
 def _print_kv(pairs) -> None:
@@ -148,8 +154,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     _load("series", "embeddings", "drift")
     features = _features(args)
-    series = read_series_csv(args.input)
-    window = _window(series, args.window_from, args.window_to, "--from/--to")
+    bounds = _bounds(args.window_from, args.window_to, "--from/--to")
+    check_positive(args.epsilon, "epsilon")
+    check_max_diff(args.max_diff)
+    window = read_series_csv(args.input).window(*bounds)
     model = fit_reference(window, features, epsilon=args.epsilon, max_diff=args.max_diff)
     save_model(model, args.model_out)
     if not model.stages:
@@ -170,9 +178,13 @@ def _sibling(report_out: str, suffix: str) -> str:
 def cmd_detect(args: argparse.Namespace) -> int:
     _load("series", "drift")
     features = _features(args)
+    ref_bounds = _bounds(args.ref_from, args.ref_to, "--ref-from/--ref-to")
+    cur_bounds = _bounds(args.cur_from, args.cur_to, "--cur-from/--cur-to")
+    check_positive(args.threshold, "threshold")
+    check_positive(args.epsilon, "epsilon")
+    check_max_diff(args.max_diff)
     series = read_series_csv(args.input)
-    reference = _window(series, args.ref_from, args.ref_to, "--ref-from/--ref-to")
-    current = _window(series, args.cur_from, args.cur_to, "--cur-from/--cur-to")
+    reference, current = series.window(*ref_bounds), series.window(*cur_bounds)
     result = run_utdd(
         reference,
         current,
@@ -261,6 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if "numpy" not in sys.modules:  # a caller that has loaded numpy keeps its BLAS threads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

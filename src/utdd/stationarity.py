@@ -11,13 +11,13 @@ comes from the R factor of the centred columns.  Every column but the first is
 a shifted copy of the one vector ``dx``, so their Gram matrix follows from two
 correlations and a shift recurrence at O(n L) cost, without forming the
 matrix.  When that Gram matrix is well-conditioned, its Cholesky factor is R;
-otherwise the explicit matrix is factored by CholeskyQR2 (Yamamoto,
-Nakatsukasa, Yanagisawa & Fukaya 2015), which forms Q one block of rows at a
-time and so never holds it whole, or, when that is unsafe, by Householder
-QR.  The statistic is compared against the asymptotic 5% critical value for
-the constant-only case (-2.86).  No finite-sample critical-value surface or
-p-value interpolation is attempted: callers only need the stationary /
-non-stationary verdict.
+otherwise CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015) forms
+the centred matrix and Q one block of rows at a time and keeps only Q'Q, so
+memory grows with the number of points alone, or, when that is unsafe,
+Householder QR factors the whole explicit matrix.  The statistic is compared
+against the asymptotic 5% critical value for the constant-only case (-2.86).
+No finite-sample critical-value surface or p-value interpolation is
+attempted: callers only need the stationary / non-stationary verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, is_flat
-from .verdict import DEFAULT_MAX_DIFF
+from .verdict import DEFAULT_MAX_DIFF, check_max_diff
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
@@ -54,7 +54,7 @@ _ONE_PASS_MAX_COND = 100.0
 # CholeskyQR2 is trusted up to this estimate.  Near 1e8 it breaks down on
 # designs that the rank rule fits, so Householder QR takes over above it.
 _CHOLESKY_QR_MAX_COND = 1e6
-_BLOCK_ROWS = 2048  # rows of Q formed at a time, so Q is never held whole
+_BLOCK_ROWS = 256  # rows of the design and of Q formed at a time, so neither is held whole
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -100,6 +100,18 @@ def _lag_gram(level: np.ndarray, d: np.ndarray, lags: int) -> tuple[np.ndarray, 
     return gram, mean
 
 
+def _centred_rows(level: np.ndarray, lagged: np.ndarray, mean: np.ndarray,
+                  start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the centred design ``[level, d_{t-1..t-L}, d_t] - mean``.
+
+    ``lagged[i]`` is the nobs-long column of lag i, a view into ``d``.
+    """
+    # stacked as rows and transposed, so each column is contiguous
+    rows = np.vstack([level[start:stop], lagged[1:, start:stop], lagged[0, start:stop]]).T
+    rows -= mean
+    return rows
+
+
 def ols(x: np.ndarray, lags: int) -> float:
     """t-ratio of ``gamma`` in the ADF regression of ``x`` with ``lags`` lagged differences.
 
@@ -117,8 +129,10 @@ def ols(x: np.ndarray, lags: int) -> float:
       The Gram matrix squares the condition number, so R's relative error,
       and the t-ratio's, grow as ``kappa^2 u`` (u = 2^-53): about 1e-12 at
       the bound.
-    - ``100 < kappa <= 1e6``: the explicit centred matrix is formed and
-      CholeskyQR2's second pass from R1 restores R to Householder accuracy.
+    - ``100 < kappa <= 1e6``: CholeskyQR2's second pass from R1 restores R
+      to Householder accuracy.  It forms the centred matrix, and Q from it,
+      one block of ``_BLOCK_ROWS`` rows at a time and sums only Q'Q, so it
+      holds neither whole.
     - the Cholesky fails or ``kappa > 1e6``: numpy's Householder QR factors the
       explicit matrix.  On a sinusoid plus noise at 1e-10 to 1e-8 relative,
       CholeskyQR2 alone refuses designs that the rank rule fits.  Shifted
@@ -160,24 +174,22 @@ def ols(x: np.ndarray, lags: int) -> float:
     if cond <= _ONE_PASS_MAX_COND:
         r = r1 * norms
     else:
-        # stacked as rows and transposed, so each column is contiguous
-        lagged = sliding_window_view(d, nobs)[::-1]
-        z = np.vstack([level, lagged[1:], lagged[0]]).T
-        z -= mean
+        lagged = sliding_window_view(d, nobs)[::-1]  # lagged[i] is the column of lag i
         if cond <= _CHOLESKY_QR_MAX_COND:
             # CholeskyQR2's second pass: Q = z diag(1/norms) inv(R1) is formed a
-            # block of rows at a time and only Q'Q is kept; its Cholesky factor R2
-            # corrects R1's loss of orthogonality, and R = R2 R1 diag(norms)
+            # block of rows at a time from a block of the centred design z, and
+            # only Q'Q is kept; its Cholesky factor R2 corrects R1's loss of
+            # orthogonality, and R = R2 R1 diag(norms)
             to_q, qtq = r1_inv / norms[:, None], np.zeros_like(r1)
             for start in range(0, nobs, _BLOCK_ROWS):
-                q = z[start : start + _BLOCK_ROWS] @ to_q
+                q = _centred_rows(level, lagged, mean, start, start + _BLOCK_ROWS) @ to_q
                 qtq += q.T @ q
             try:
                 r = np.linalg.cholesky(qtq).T @ r1 * norms
             except np.linalg.LinAlgError:
                 cond = np.inf
         if not cond <= _CHOLESKY_QR_MAX_COND:  # written so that a NaN estimate lands here too
-            r = np.linalg.qr(z, mode="r")
+            r = np.linalg.qr(_centred_rows(level, lagged, mean, 0, nobs), mode="r")
     rx, mean = r[:p, :p], mean[:p]
     scale = np.full(p, d_scale)
     scale[0] = level_scale
@@ -274,9 +286,7 @@ def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult
         raise InvalidArgumentError(
             f"series has {len(series)} points; need at least {MIN_WINDOW_POINTS}"
         )
-    max_diff = int(max_diff)
-    if max_diff < 0:
-        raise InvalidArgumentError("max_diff must be non-negative")
+    max_diff = check_max_diff(max_diff)
     trail: list[AdfResult] = []
     for k in range(max_diff + 1):
         # each level differences the last once, bit for bit as np.diff(x, n=k) does

@@ -4,8 +4,9 @@ A report holds the differencing order, both window statistics and the
 verdict ``|z_curr - z_ref| >= threshold``.  This module also holds the
 defaults the command line shows before any command runs, so that
 ``utdd report``, ``--help`` and usage errors start without numpy, and the
-package's one rule for a parameter that must be positive and finite
-(the threshold and epsilon).
+package's one rule for each tuning parameter: the threshold and epsilon
+must be positive and finite, and the differencing cap non-negative.  The
+command line applies them before it reads its input.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .jsondoc import json_object, json_version, read_json, write_json
 
 __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD",
-    "REPORT_FORMAT_VERSION", "DriftReport", "check_positive", "detect", "report_from_dict",
-    "save_report", "load_report",
+    "REPORT_FORMAT_VERSION", "DriftReport", "check_max_diff", "check_positive", "detect",
+    "report_from_dict", "save_report", "load_report",
 ]
 
 # Coarse-to-fine calendar structure.
@@ -38,6 +39,14 @@ def check_positive(value: float, name: str) -> None:
     """Refuse a ``value`` that is not positive and finite with :class:`InvalidArgumentError`."""
     if not 0 < value < math.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite")
+
+
+def check_max_diff(max_diff: int) -> int:
+    """``max_diff`` as an int; a negative one is refused with :class:`InvalidArgumentError`."""
+    max_diff = int(max_diff)
+    if max_diff < 0:
+        raise InvalidArgumentError("max_diff must be non-negative")
+    return max_diff
 
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:

@@ -523,19 +523,47 @@ def test_fit_and_detect_refuse_flags_that_would_mislead(tmp_path, capsys, comman
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["fit", "detect"])
-def test_fit_and_detect_refuse_flags_before_reading_the_input(tmp_path, capsys, command):
+HOLIDAYS_WITHOUT_IS_HOLIDAY = (["--features", "day_of_week", "--holidays", "2020-08-01"],
+                               "--holidays is given, but --features lists no is_holiday")
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        pytest.param("fit", *HOLIDAYS_WITHOUT_IS_HOLIDAY, id="fit"),
+        pytest.param("detect", *HOLIDAYS_WITHOUT_IS_HOLIDAY, id="detect"),
+        pytest.param("fit", ["--epsilon", "0"], "epsilon must be positive and finite",
+                     id="fit-epsilon"),
+        pytest.param("detect", ["--epsilon", "inf"], "epsilon must be positive and finite",
+                     id="detect-epsilon"),
+        pytest.param("fit", ["--max-diff", "-1"], "max_diff must be non-negative",
+                     id="fit-max-diff"),
+        pytest.param("detect", ["--max-diff", "-1"], "max_diff must be non-negative",
+                     id="detect-max-diff"),
+        pytest.param("detect", ["--threshold", "0"], "threshold must be positive and finite",
+                     id="detect-threshold"),
+        pytest.param("fit", ["--to", "garbage"],
+                     "--from/--to: Invalid isoformat string: 'garbage'", id="fit-window"),
+        pytest.param("detect", ["--ref-from", "garbage"],
+                     "--ref-from/--ref-to: Invalid isoformat string: 'garbage'",
+                     id="detect-window"),
+        pytest.param("detect", ["--cur-to", "garbage"],
+                     "--cur-from/--cur-to: Invalid isoformat string: 'garbage'",
+                     id="detect-current-window"),
+    ],
+)
+def test_fit_and_detect_refuse_flags_before_reading_the_input(tmp_path, capsys, command, flags,
+                                                               message):
     # the refused flag is named, not the input that was never opened
     if command == "fit":
         windows = ["--from", "2020-08-01T00:00:00Z", "--to", "2020-10-01T00:00:00Z", "--model-out"]
     else:
         windows = [*REF, *CUR, "--report-out"]
-    code = main([command, "--input", str(tmp_path / "missing.csv"), "--features", "day_of_week",
-                 "--holidays", "2020-08-01", *windows, str(tmp_path / "out.json")])
+    # a flag given twice takes its last value, so ``flags`` replaces a window bound
+    code = main([command, "--input", str(tmp_path / "missing.csv"), *windows,
+                 str(tmp_path / "out.json"), *flags])
     assert code == 2
-    assert capsys.readouterr().err == (
-        "error: --holidays is given, but --features lists no is_holiday\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -614,12 +642,12 @@ def test_every_command_names_its_text_encoding(tmp_path):
         assert (done.returncode, done.stderr) == (code, ""), argv
 
 
-# Appended to code that sets ``code``: prints it and the loaded modules among numpy
-# and the utdd submodules.
+# Appended to code that sets ``code``: prints it, the loaded modules among numpy
+# and the utdd submodules, and OPENBLAS_NUM_THREADS.
 _LOADED = """
-import json, sys
+import json, os, sys
 modules = sorted(name for name in sys.modules if name == "numpy" or name.startswith("utdd."))
-print(json.dumps([code, modules]))
+print(json.dumps([code, modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 _RUN_UTDD = """
 import runpy
@@ -630,30 +658,49 @@ except SystemExit as exc:
 """
 
 
-def loaded_modules(cwd, *argv):
-    """The exit code of a fresh ``python -m utdd ARGV...`` process and the modules it loaded;
-    with no ARGV, code None and the modules ``import utdd`` loads."""
+def loaded_modules(cwd, *argv, blas_threads=None):
+    """The exit code of a fresh ``python -m utdd ARGV...`` process, the modules it loaded and
+    its OPENBLAS_NUM_THREADS at exit; with no ARGV, code None and what ``import utdd`` leaves.
+    The process starts with OPENBLAS_NUM_THREADS set to ``blas_threads``, or unset."""
     run = _RUN_UTDD if argv else "import utdd\ncode = None"
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     done = subprocess.run([sys.executable, "-c", run + _LOADED, *argv],
-                          capture_output=True, text=True, env=child_env(), cwd=cwd)
-    code, modules = json.loads(done.stdout.splitlines()[-1])
-    return code, set(modules)
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    code, modules, threads = json.loads(done.stdout.splitlines()[-1])
+    return code, set(modules), threads
 
 
 def test_each_command_imports_only_what_it_runs(fixture_csv, tmp_path):
     # one process per command: report, --help and usage errors start without numpy
-    code, detected = loaded_modules(tmp_path, "detect", "--input", str(fixture_csv), *REF, *CUR,
-                                    "--report-out", "r.json")
+    code, detected, _ = loaded_modules(tmp_path, "detect", "--input", str(fixture_csv), *REF,
+                                       *CUR, "--report-out", "r.json")
     assert code == 1 and "utdd.drift" in detected and "utdd.simulate" not in detected
-    code, simulated = loaded_modules(tmp_path, "simulate", "--config", FIXTURE_CONFIG,
+    code, simulated, _ = loaded_modules(tmp_path, "simulate", "--config", FIXTURE_CONFIG,
                                      "--out", "s.csv")
     assert code == 0 and {"numpy", "utdd.simulate"} <= simulated
     assert not simulated & {"utdd.drift", "utdd.stationarity", "utdd.embeddings"}
     for argv, expected in [((), None), (("report", "--report", "r.json"), 1), (("--help",), 0),
                            (("detect", "--help"), 0), (("detect", "--input", "s.csv"), 2),
                            (("--report", "r.json"), 2)]:
-        code, modules = loaded_modules(tmp_path, *argv)
+        code, modules, _ = loaded_modules(tmp_path, *argv)
         assert code == expected and "numpy" not in modules, (argv, modules)
+
+
+def test_commands_run_openblas_on_one_thread_unless_told_otherwise(fixture_csv, tmp_path,
+                                                                   monkeypatch):
+    detect = ("detect", "--input", str(fixture_csv), *REF, *CUR, "--report-out", "r.json")
+    code, modules, threads = loaded_modules(tmp_path, *detect)
+    assert (code, threads) == (1, "1") and "numpy" in modules
+    code, _, threads = loaded_modules(tmp_path, *detect, blas_threads="3")
+    assert (code, threads) == (1, "3")
+    # importing the package sets nothing, and neither does main once numpy is loaded
+    assert loaded_modules(tmp_path)[2] is None
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["report", "--report", str(tmp_path / "r.json")]) == 1
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_cli_requires_a_subcommand(capsys):

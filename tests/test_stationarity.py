@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from utdd import DegenerateInputError, InvalidArgumentError, TimeSeries
+from utdd import DegenerateInputError, InvalidArgumentError, TimeSeries, stationarity
 from utdd.stationarity import (
     ADF_CRITICAL_5PCT,
     _lag_gram,
@@ -433,6 +434,55 @@ def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeyp
     statistic = adf_test(x).statistic
     assert len(cholesky_calls) == 2 and len(qr_calls) == 1
     assert abs(statistic - base) <= 1e-12 * max(abs(base), 1.0)
+
+
+def counting_choleskys(monkeypatch):
+    """The list that each later ``np.linalg.cholesky`` call appends its argument's shape to."""
+    cholesky, calls = np.linalg.cholesky, []
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return calls
+
+
+def test_second_pass_blocks_join_exactly_at_every_edge(monkeypatch):
+    # Q'Q sums the same rows whatever the block size: one row a block, a size
+    # that leaves a short last block, one block of exactly nobs rows, and more.
+    # The over-differenced noise below estimates its condition at 582, so it
+    # takes the second pass.
+    x = np.diff(np.random.default_rng(8).standard_normal(501))
+    lags = adf_test(x).lags_used
+    nobs = x.size - 1 - lags
+    expected = householder_t_ratio(*adf_design(x, lags))
+    calls = counting_choleskys(monkeypatch)
+    for rows in (1, 7, nobs, nobs + 1):
+        monkeypatch.setattr(stationarity, "_BLOCK_ROWS", rows)
+        calls.clear()
+        statistic = adf_test(x).statistic
+        assert len(calls) == 2, rows
+        assert abs(statistic - expected) <= 1e-12 * max(abs(expected), 1.0), rows
+
+
+def test_second_pass_holds_one_block_of_the_design_at_a_time(monkeypatch):
+    # A differenced random walk with a daily cycle, as the bench's k = 1 levels
+    # are, at 8,759 points: forming the whole centred design would take 38
+    # float64s per point.
+    n = 8759
+    t = np.arange(n + 1)
+    walk = np.cumsum(np.random.default_rng(3).standard_normal(n + 1))
+    x = np.diff(walk + 3 * np.sin(2 * np.pi * t / 24))
+    calls = counting_choleskys(monkeypatch)
+    tracemalloc.start()
+    try:
+        adf_test(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2
+    assert peak < 10 * n * 8, peak
 
 
 def test_adf_factors_a_well_conditioned_bench_level_with_one_cholesky(monkeypatch):
