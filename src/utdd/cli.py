@@ -54,7 +54,8 @@ __all__ = ["main"]
 # command binds the names of the modules it needs with _load and calls them as
 # module globals; attribute access from outside binds them through __getattr__.
 _DEFERRED = {
-    "series": ("FeatureSpec", "format_utc", "parse_utc", "read_series_csv", "write_series_csv"),
+    "series": ("FeatureSpec", "check_window", "format_utc", "parse_utc", "read_series_csv",
+               "write_series_csv"),
     "simulate": ("load_sim_config", "simulate_series"),
     "embeddings": ("save_model",),
     "drift": ("fit_reference", "run_utdd", "write_fit_csv", "write_residual_csv"),
@@ -109,9 +110,9 @@ def _features(args: argparse.Namespace) -> tuple:
 
 
 def _bounds(from_text: str, to_text: str, what: str) -> tuple:
-    """The parsed ``(start_at, end_before)`` of a window, read before its input is."""
+    """The parsed and checked ``(start_at, end_before)`` of a window, read before its input is."""
     try:
-        return parse_utc(from_text), parse_utc(to_text)
+        return check_window(parse_utc(from_text), parse_utc(to_text))
     except ValueError as exc:
         raise InvalidArgumentError(f"{what}: {exc}") from None
 

@@ -31,6 +31,7 @@ __all__ = [
     "utc_us",
     "coerce_utc",
     "check_grid",
+    "check_window",
     "read_series_csv",
     "write_series_csv",
     "write_timestamp_table",
@@ -89,6 +90,14 @@ def is_flat(values) -> bool:
     # bit for bit arr.std(), which would sum the array for its mean once more
     std = np.sqrt(np.mean((arr - mean) ** 2))
     return float(std) < 1e-10 * (1.0 + abs(float(mean)))
+
+
+def check_window(start_at: datetime, end_before: datetime) -> tuple:
+    """The bounds of a half-open window, in UTC; refuses an end that is not after the start."""
+    start_at, end_before = coerce_utc(start_at), coerce_utc(end_before)
+    if end_before <= start_at:
+        raise InvalidArgumentError("window end must be after window start")
+    return start_at, end_before
 
 
 def parse_utc(text: str) -> datetime:
@@ -164,10 +173,7 @@ class TimeSeries:
         Raises :class:`InvalidArgumentError` when the bounds are inverted or
         no points fall inside them.
         """
-        start_at = coerce_utc(start_at)
-        end_before = coerce_utc(end_before)
-        if end_before <= start_at:
-            raise InvalidArgumentError("window end must be after window start")
+        start_at, end_before = check_window(start_at, end_before)
         i_lo, i_hi = np.searchsorted(self.epoch_us(), [utc_us(start_at), utc_us(end_before)])
         if i_hi <= i_lo:
             raise InvalidArgumentError(

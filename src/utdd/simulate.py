@@ -151,16 +151,12 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     eps = np.empty(n, dtype=np.float64)
     seasonal = np.zeros(n, dtype=np.float64)
 
-    gamma: list = []
-    gamma_star: list = []
-    for comp in comps:
-        gamma.extend(rng.standard_normal(comp.p))
-        gamma_star.extend(rng.standard_normal(comp.p))
-    state = np.column_stack([gamma, gamma_star]).astype(np.float64)
-
     # one row per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
     bounds = np.cumsum([0] + [comp.p for comp in comps])
     total_p = int(bounds[-1])
+    state = np.empty((total_p, 2))
+    for comp, lo, hi in zip(comps, bounds, bounds[1:]):
+        state[lo:hi] = rng.standard_normal((2, comp.p)).T  # gamma's p draws, then gamma-star's
     for first in range(0, n, _BLOCK_STEPS):
         rows = slice(first, min(first + _BLOCK_STEPS, n))
         noise = rng.standard_normal((rows.stop - first, 2 * total_p + 1))
@@ -173,28 +169,23 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     eps *= cfg.sigma_eps
 
     grid = TimeSeries(cfg.start, cfg.step, np.zeros(n))
-    weekend = extract_feature(grid, FeatureSpec("is_weekend"))
-    scale = np.where(weekend > 0, cfg.weekend_scale, 1.0)
+    scale = np.where(extract_feature(grid, FeatureSpec("is_weekend")) > 0, cfg.weekend_scale, 1.0)
     holiday = extract_feature(grid, FeatureSpec("is_holiday", holiday_dates=cfg.holidays))
+    drift = cfg.drift
+    if drift is not None:
+        cut = np.searchsorted(grid.epoch_us(), utc_us(drift.at), side="left")
+        scale[cut:] *= drift.seasonal_scale
+        eps[cut:] *= drift.noise_scale
 
-    t_idx = np.arange(n, dtype=np.float64)
-    level_shift = np.zeros(n)
-    seasonal_scale = np.ones(n)
-    noise_scale = np.ones(n)
-    if cfg.drift is not None:
-        cut = np.searchsorted(grid.epoch_us(), utc_us(cfg.drift.at), side="left")
-        level_shift[cut:] = cfg.drift.level_shift
-        seasonal_scale[cut:] = cfg.drift.seasonal_scale
-        noise_scale[cut:] = cfg.drift.noise_scale
-
-    values = (
-        cfg.trend.level
-        + cfg.trend.slope * t_idx
-        + seasonal_scale * scale * seasonal
-        + cfg.holiday_offset * holiday
-        + level_shift
-        + noise_scale * eps
-    )
+    # the formula's terms, added in place in its order, so each sum rounds as the formula's does
+    values = cfg.trend.slope * np.arange(n, dtype=np.float64)
+    values += cfg.trend.level
+    seasonal *= scale
+    values += seasonal
+    values += cfg.holiday_offset * holiday
+    if drift is not None:
+        values[cut:] += drift.level_shift
+    values += eps
     return TimeSeries(cfg.start, cfg.step, values)
 
 

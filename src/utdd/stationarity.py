@@ -10,12 +10,13 @@ constant (Frisch-Waugh-Lovell), so no column of ones is needed and the t-ratio
 comes from the R factor of the centred columns.  Every column but the first is
 a shifted copy of the one vector ``dx``, so their Gram matrix follows from two
 correlations and a shift recurrence at O(n L) cost, without forming the
-matrix.  When that Gram matrix is well-conditioned, its Cholesky factor is R;
-otherwise CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015) forms
-the centred matrix and Q one block of rows at a time and keeps only Q'Q, so
-memory grows with the number of points alone, or, when that is unsafe,
-Householder QR factors the whole explicit matrix.  The statistic is compared
-against the asymptotic 5% critical value for the constant-only case (-2.86).
+matrix.  When the condition estimate of its Cholesky factor is at most 100,
+that factor is R.  When a Cholesky factorization fails or the estimate is not
+finite, Householder QR factors the whole explicit matrix.  Otherwise
+CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015) forms the
+centred matrix and Q one block of rows at a time and keeps only Q'Q, so memory
+grows with the number of points alone.  The statistic is compared against the
+asymptotic 5% critical value for the constant-only case (-2.86).
 No finite-sample critical-value surface or p-value interpolation is
 attempted: callers only need the stationary / non-stationary verdict.
 """
@@ -51,9 +52,6 @@ MIN_WINDOW_POINTS = 30  # fewest points ndiffs and run_utdd take in a window
 # random walks with a daily cycle estimate up to 380, where one Cholesky is off
 # by 1.9e-12 of max(|t|, 1) against Householder QR; below 100 it is off by 1e-13.
 _ONE_PASS_MAX_COND = 100.0
-# CholeskyQR2 is trusted up to this estimate.  Near 1e8 it breaks down on
-# designs that the rank rule fits, so Householder QR takes over above it.
-_CHOLESKY_QR_MAX_COND = 1e6
 _BLOCK_ROWS = 256  # rows of the design and of Q formed at a time, so neither is held whole
 _TINY = np.finfo(np.float64).tiny
 
@@ -129,15 +127,16 @@ def ols(x: np.ndarray, lags: int) -> float:
       The Gram matrix squares the condition number, so R's relative error,
       and the t-ratio's, grow as ``kappa^2 u`` (u = 2^-53): about 1e-12 at
       the bound.
-    - ``100 < kappa <= 1e6``: CholeskyQR2's second pass from R1 restores R
-      to Householder accuracy.  It forms the centred matrix, and Q from it,
-      one block of ``_BLOCK_ROWS`` rows at a time and sums only Q'Q, so it
-      holds neither whole.
-    - the Cholesky fails or ``kappa > 1e6``: numpy's Householder QR factors the
-      explicit matrix.  On a sinusoid plus noise at 1e-10 to 1e-8 relative,
-      CholeskyQR2 alone refuses designs that the rank rule fits.  Shifted
-      CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa 2020)
-      fits them too, but is no faster than this guard.
+    - a Cholesky fails or ``kappa`` is not finite: numpy's Householder QR
+      factors the explicit matrix.  On a sinusoid plus noise at 1e-10 to 1e-8
+      relative, CholeskyQR2 alone refuses designs that the rank rule fits.
+      Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa
+      2020) fits them too, but is no faster than this fallback.
+
+    Any other ``kappa`` takes CholeskyQR2's second pass from R1, which
+    restores R to Householder accuracy.  It forms the centred matrix, and Q
+    from it, one block of ``_BLOCK_ROWS`` rows at a time and sums only Q'Q, so
+    it holds neither whole.
 
     For ``X`` of p columns, R's last column holds ``Q'y`` and its corner
     ``|R[p, p]|`` is the residual norm (Golub & Van Loan, *Matrix
@@ -175,7 +174,7 @@ def ols(x: np.ndarray, lags: int) -> float:
         r = r1 * norms
     else:
         lagged = sliding_window_view(d, nobs)[::-1]  # lagged[i] is the column of lag i
-        if cond <= _CHOLESKY_QR_MAX_COND:
+        if cond < np.inf:
             # CholeskyQR2's second pass: Q = z diag(1/norms) inv(R1) is formed a
             # block of rows at a time from a block of the centred design z, and
             # only Q'Q is kept; its Cholesky factor R2 corrects R1's loss of
@@ -188,7 +187,7 @@ def ols(x: np.ndarray, lags: int) -> float:
                 r = np.linalg.cholesky(qtq).T @ r1 * norms
             except np.linalg.LinAlgError:
                 cond = np.inf
-        if not cond <= _CHOLESKY_QR_MAX_COND:  # written so that a NaN estimate lands here too
+        if not cond < np.inf:  # written so that a NaN estimate lands here too
             r = np.linalg.qr(_centred_rows(level, lagged, mean, 0, nobs), mode="r")
     rx, mean = r[:p, :p], mean[:p]
     scale = np.full(p, d_scale)

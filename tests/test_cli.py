@@ -550,6 +550,12 @@ HOLIDAYS_WITHOUT_IS_HOLIDAY = (["--features", "day_of_week", "--holidays", "2020
         pytest.param("detect", ["--cur-to", "garbage"],
                      "--cur-from/--cur-to: Invalid isoformat string: 'garbage'",
                      id="detect-current-window"),
+        pytest.param("fit", ["--to", "2020-08-01T00:00:00Z"],
+                     "--from/--to: window end must be after window start", id="fit-inverted"),
+        pytest.param("detect", ["--ref-from", "2020-10-01T00:00:00Z", "--ref-to",
+                                "2020-08-01T00:00:00Z"],
+                     "--ref-from/--ref-to: window end must be after window start",
+                     id="detect-inverted"),
     ],
 )
 def test_fit_and_detect_refuse_flags_before_reading_the_input(tmp_path, capsys, command, flags,

@@ -385,10 +385,9 @@ def test_adf_refusal_set_on_a_noisy_sinusoid(weekly):
     assert ndiffs(hourly(noisy_sinusoid(2000, weekly, 1e-9))).k == 0
 
 
-def test_adf_takes_the_householder_branch_only_when_cholesky_qr2_is_unsafe(monkeypatch):
-    # The noisy sinusoid needs the guard; no bench reference window does.
-    calls = []
-    qr = np.linalg.qr
+def counting_qrs(monkeypatch):
+    """The list that each later ``np.linalg.qr`` call from :mod:`utdd.stationarity` appends to."""
+    qr, calls = np.linalg.qr, []
 
     def counting_qr(*args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == "utdd.stationarity":
@@ -396,28 +395,49 @@ def test_adf_takes_the_householder_branch_only_when_cholesky_qr2_is_unsafe(monke
         return qr(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    # at rel = 1e-9 the first Cholesky factor breaks down; at 1e-7 it exists,
-    # but its condition estimate (~2e8) is past the guard
-    for rel in (1e-9, 1e-7):
+    return calls
+
+
+def test_adf_takes_the_householder_branch_only_when_a_cholesky_fails(monkeypatch):
+    # At rel = 1e-9 the noisy sinusoid's first Cholesky factor breaks down.  At
+    # 1e-7 it exists with a condition estimate of 2.1e8, and CholeskyQR2's two
+    # Choleskys factor the design.  No bench reference window needs Householder.
+    choleskys, qrs = counting_choleskys(monkeypatch), counting_qrs(monkeypatch)
+    for rel, calls in ((1e-9, (1, 1)), (1e-7, (2, 0))):
+        choleskys.clear()
+        qrs.clear()
         assert adf_test(noisy_sinusoid(2000, False, rel)).stationary
-        assert len(calls) == 1, rel
-        calls.clear()
+        assert (len(choleskys), len(qrs)) == calls, rel
     max_diff = bench_workloads().MAX_DIFF
     for seed in range(1, 11):
         for window in bench_reference_windows(seed):
             ndiffs(window, max_diff=max_diff)
-    assert calls == []
+    assert qrs == []
+
+
+@pytest.mark.parametrize("weekly", [False, True], ids=["daily", "daily+weekly"])
+@pytest.mark.parametrize("rel", [1e-7, 1e-6])
+def test_second_pass_matches_an_exact_rational_solution_on_a_noisy_sinusoid(monkeypatch, rel,
+                                                                          weekly):
+    # These 200-point designs estimate their condition at 9.9e5 to 4.4e7, past the
+    # one-Cholesky bound, and CholeskyQR2's second pass factors them.
+    x = noisy_sinusoid(200, weekly, rel)
+    lags = adf_test(x).lags_used
+    want = exact_t_ratio(*adf_design(x, lags))
+    calls = counting_choleskys(monkeypatch)
+    got = ols(x, lags)
+    assert len(calls) == 2
+    assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
 
 
 def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeypatch):
     # Over-differenced noise has a unit root in its moving average, so its
-    # design's condition estimate (582) lies between the one-Cholesky bound and
-    # CholeskyQR2's guard.  Q'Q of a design whose first factor passed the guard
-    # is near the identity, so the second Cholesky fails only when made to.
+    # design's condition estimate (582) lies past the one-Cholesky bound.  Q'Q
+    # of a design whose first factor exists is near the identity, so the second
+    # Cholesky fails only when made to.
     x = np.diff(np.random.default_rng(8).standard_normal(501))
     base = adf_test(x).statistic
-    cholesky, qr = np.linalg.cholesky, np.linalg.qr
-    cholesky_calls, qr_calls = [], []
+    cholesky, cholesky_calls = np.linalg.cholesky, []
 
     def second_cholesky_fails(a):
         cholesky_calls.append(a.shape)
@@ -425,12 +445,8 @@ def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeyp
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return cholesky(a)
 
-    def counting_qr(*args, **kwargs):
-        qr_calls.append(args[0].shape)
-        return qr(*args, **kwargs)
-
     monkeypatch.setattr(np.linalg, "cholesky", second_cholesky_fails)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    qr_calls = counting_qrs(monkeypatch)
     statistic = adf_test(x).statistic
     assert len(cholesky_calls) == 2 and len(qr_calls) == 1
     assert abs(statistic - base) <= 1e-12 * max(abs(base), 1.0)
@@ -490,14 +506,7 @@ def test_adf_factors_a_well_conditioned_bench_level_with_one_cholesky(monkeypatc
     # below 100, so the Cholesky factor of the lag-structure Gram matrix is R.
     # The k = 1 levels of the random walks estimate 74 to 382; those past 100
     # take CholeskyQR2's second pass, a second Cholesky.
-    cholesky = np.linalg.cholesky
-    calls = []
-
-    def counting_cholesky(a):
-        calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    calls = counting_choleskys(monkeypatch)
     max_diff = bench_workloads().MAX_DIFF
     first, second = Counter(), Counter()
     for seed in range(1, 11):
