@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, diff, is_flat, write_timestamp_table
+from .series import TimeSeries, diff, spread, write_timestamp_table
 from .embeddings import BoostedModel, boosted_fit, boosted_predict, check_features
 from .stationarity import MIN_WINDOW_POINTS, ndiffs
 from .verdict import DEFAULT_EPSILON, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport
@@ -70,9 +70,10 @@ def compute_zscore(residual: Sequence[float]) -> float:
     r = np.asarray(residual, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise InvalidArgumentError("z-statistic needs at least two residual values")
-    if is_flat(r):
+    std = spread(r)
+    if not std:
         raise DegenerateInputError("residual has zero variance")
-    return float(np.abs(r - r.mean()).mean() / r.std())
+    return float(np.abs(r - r.mean()).mean() / std)
 
 
 def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: float = DEFAULT_EPSILON,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, read_json, write_json
-from .series import FeatureSpec, TimeSeries, diff, extract_feature, is_flat
+from .series import FeatureSpec, TimeSeries, diff, extract_feature, spread
 from .verdict import DEFAULT_EPSILON, check_positive
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "boosted_fit",
     "boosted_predict",
     "MODEL_FORMAT_VERSION",
-    "model_to_dict",
-    "model_from_dict",
     "save_model",
     "load_model",
 ]
@@ -140,7 +138,7 @@ def boosted_fit(
     differenced target stops the loop and is discarded.  The model keeps that
     product as its ``epsilon``, so a change of units moves no stage.
 
-    A target with no variance after differencing (:func:`is_flat`) yields a
+    A differenced target whose :func:`spread` is 0 (no variance) yields a
     model with zero stages; :func:`compute_zscore` refuses to score its
     residual.
     """
@@ -156,9 +154,10 @@ def boosted_fit(
 
     work = diff(series, k_diffs)
     residual = work.values
-    if is_flat(residual):
+    std = spread(residual)
+    if not std:
         return BoostedModel(stages=(), epsilon=0.0, k_diffs=k_diffs)
-    eps = epsilon * float(residual.std())
+    eps = epsilon * std
     if eps == math.inf:
         raise InvalidArgumentError("epsilon times the std of the differenced target overflows")
 
@@ -196,22 +195,6 @@ def _feature_to_dict(spec: FeatureSpec) -> dict:
     return doc
 
 
-def model_to_dict(model: BoostedModel) -> dict:
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "k_diffs": model.k_diffs,
-        "epsilon": model.epsilon,
-        "stages": [
-            {
-                "feature": _feature_to_dict(stage.feature),
-                "lookup": stage.lookup.tolist(),
-                "sse_reduction": stage.sse_reduction,
-            }
-            for stage in model.stages
-        ],
-    }
-
-
 _FEATURE = {"kind": "string", "holiday_dates": json_array(date.fromisoformat)}
 _STAGE = {
     "feature": lambda doc: FeatureSpec(**json_object(doc, _FEATURE, ("kind",))),
@@ -225,15 +208,23 @@ _MODEL = {
 }
 
 
-def model_from_dict(doc) -> BoostedModel:
-    """Rebuild a model from :func:`model_to_dict` output, refusing anything else."""
-    body = json_version(doc, MODEL_FORMAT_VERSION, "utdd fit")
-    return BoostedModel(**json_object(body, _MODEL, _MODEL))
-
-
 def save_model(model: BoostedModel, path) -> None:
-    write_json(path, model_to_dict(model))
+    write_json(path, {
+        "version": MODEL_FORMAT_VERSION,
+        "k_diffs": model.k_diffs,
+        "epsilon": model.epsilon,
+        "stages": [
+            {
+                "feature": _feature_to_dict(stage.feature),
+                "lookup": stage.lookup.tolist(),
+                "sse_reduction": stage.sse_reduction,
+            }
+            for stage in model.stages
+        ],
+    })
 
 
 def load_model(path) -> BoostedModel:
-    return read_json(path, model_from_dict)
+    """The model :func:`save_model` wrote to ``path``; any other document is refused."""
+    body = json_version(read_json(path), MODEL_FORMAT_VERSION, "utdd fit")
+    return BoostedModel(**json_object(body, _MODEL, _MODEL))

@@ -1,13 +1,14 @@
 """Strict readers and one atomic writer for the package's JSON documents.
 
-Each document is read by :func:`read_json` through a table from key to
-reader.  A reader is a :func:`json_scalar` kind or a callable, such as one
-built on :func:`json_object` or :func:`json_array`.  Every fault raises
-:class:`InvalidArgumentError`: text that is not JSON names its line, and any
-other fault its path from the root, such as ``stages[1].lookup[3]``.  An
-absent optional key is left out of the result, so defaults live only in the
-dataclasses built from it.  The module also holds the ASCII number syntax
-that the CSV reader and the command line share.  Standard library only.
+Each document is parsed by :func:`read_json` and read by its loader through
+a table from key to reader.  A reader is a :func:`json_scalar` kind or a
+callable, such as one built on :func:`json_object` or :func:`json_array`.
+Every fault raises :class:`InvalidArgumentError`: text that is not JSON
+names its line, and any other fault its path from the root, such as
+``stages[1].lookup[3]``.  An absent optional key is left out of the result,
+so defaults live only in the dataclasses built from it.  The module also
+holds the ASCII number syntax that the CSV reader and the command line
+share.  Standard library only.
 """
 
 from __future__ import annotations
@@ -110,18 +111,17 @@ def json_version(doc, version: int, writer: str) -> dict:
     return {key: value for key, value in doc.items() if key != "version"}
 
 
-def read_json(path, reader):
-    """``reader`` applied to the JSON document in the UTF-8 file at ``path``.
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``, parsed but not yet checked.
 
     Text that is not JSON raises :class:`InvalidArgumentError` naming its line,
     as in ``line 1: Expecting value``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"line {exc.lineno}: {exc.msg}") from None
-    return reader(doc)
 
 
 def write_json(path, doc) -> None:

@@ -25,7 +25,7 @@ __all__ = [
     "FEATURE_KINDS",
     "diff",
     "extract_feature",
-    "is_flat",
+    "spread",
     "parse_utc",
     "format_utc",
     "utc_us",
@@ -77,8 +77,9 @@ def check_grid(start: datetime, step: float, n: int) -> int:
     return step_us
 
 
-def is_flat(values) -> bool:
-    """The package's one zero-variance rule: ``std < 1e-10 * (1 + |mean|)``.
+def spread(values) -> float:
+    """The population std of ``values``, or 0.0 when they are flat by the package's
+    one zero-variance rule, ``std < 1e-10 * (1 + |mean|)``.
 
     Exact constants are flat.  The differences of a deterministic trend are
     flat only while their rounding noise stays under the absolute floor: for
@@ -88,8 +89,8 @@ def is_flat(values) -> bool:
     arr = np.asarray(values, dtype=np.float64)
     mean = arr.mean()
     # bit for bit arr.std(), which would sum the array for its mean once more
-    std = np.sqrt(np.mean((arr - mean) ** 2))
-    return float(std) < 1e-10 * (1.0 + abs(float(mean)))
+    std = float(np.sqrt(np.mean((arr - mean) ** 2)))
+    return 0.0 if std < 1e-10 * (1.0 + abs(float(mean))) else std
 
 
 def check_window(start_at: datetime, end_before: datetime) -> tuple:

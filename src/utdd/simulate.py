@@ -52,7 +52,6 @@ __all__ = [
     "TrendConfig",
     "SimConfig",
     "simulate_series",
-    "sim_config_from_dict",
     "load_sim_config",
 ]
 
@@ -243,12 +242,7 @@ _CONFIG = {
 }
 
 
-def sim_config_from_dict(doc) -> SimConfig:
-    """Build a :class:`SimConfig` from a parsed JSON document; absent keys take its defaults."""
-    values = json_object(doc, _CONFIG, ("start", "step_seconds", "n"))
-    return SimConfig(step=values.pop("step_seconds"), **values)
-
-
 def load_sim_config(path) -> SimConfig:
-    """Load and validate a simulation config from a JSON file."""
-    return read_json(path, sim_config_from_dict)
+    """The :class:`SimConfig` in the JSON file at ``path``; absent keys take its defaults."""
+    values = json_object(read_json(path), _CONFIG, ("start", "step_seconds", "n"))
+    return SimConfig(step=values.pop("step_seconds"), **values)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .series import TimeSeries, is_flat
+from .series import TimeSeries, spread
 from .verdict import DEFAULT_MAX_DIFF, check_max_diff
 
 __all__ = [
@@ -129,7 +129,8 @@ def ols(x: np.ndarray, lags: int) -> float:
       the bound.
     - a Cholesky fails or ``kappa`` is not finite: numpy's Householder QR
       factors the explicit matrix.  On a sinusoid plus noise at 1e-10 to 1e-8
-      relative, CholeskyQR2 alone refuses designs that the rank rule fits.
+      relative, CholeskyQR2 alone refuses designs that the rank rule fits;
+      their t-ratio lies within ``1e-6 max(|t|, 1)`` of exact arithmetic.
       Shifted CholeskyQR3 (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa
       2020) fits them too, but is no faster than this fallback.
 
@@ -290,7 +291,7 @@ def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult
     for k in range(max_diff + 1):
         # each level differences the last once, bit for bit as np.diff(x, n=k) does
         candidate = np.diff(candidate) if k else series.values
-        if is_flat(candidate):
+        if not spread(candidate):
             return NdiffsResult(k=k, trail=tuple(trail))
         try:
             result = adf_test(candidate)

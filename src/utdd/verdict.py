@@ -20,7 +20,7 @@ from .jsondoc import json_object, json_version, read_json, write_json
 __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD",
     "REPORT_FORMAT_VERSION", "DriftReport", "check_max_diff", "check_positive", "detect",
-    "report_from_dict", "save_report", "load_report",
+    "save_report", "load_report",
 ]
 
 # Coarse-to-fine calendar structure.
@@ -84,15 +84,11 @@ class DriftReport:
 _REPORT = {field.name: field.type for field in fields(DriftReport)}
 
 
-def report_from_dict(doc) -> DriftReport:
-    """Rebuild a report from :func:`save_report`'s document, refusing anything else."""
-    body = json_version(doc, REPORT_FORMAT_VERSION, "utdd detect")
-    return DriftReport(**json_object(body, _REPORT, _REPORT))
-
-
 def save_report(report: DriftReport, path) -> None:
     write_json(path, {"version": REPORT_FORMAT_VERSION, **asdict(report)})
 
 
 def load_report(path) -> DriftReport:
-    return read_json(path, report_from_dict)
+    """The report :func:`save_report` wrote to ``path``; any other document is refused."""
+    body = json_version(read_json(path), REPORT_FORMAT_VERSION, "utdd detect")
+    return DriftReport(**json_object(body, _REPORT, _REPORT))

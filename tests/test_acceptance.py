@@ -176,7 +176,7 @@ def test_zscore_analytics(capsys):
     )
 
 
-def _mc_series(seed, noise_scale):
+def _mc_series(seed, noise_scale, holiday_offset=-7.0):
     drift = DriftInjection(at=SEP, noise_scale=noise_scale) if noise_scale != 1.0 else None
     cfg = SimConfig(
         start=T0,
@@ -188,7 +188,7 @@ def _mc_series(seed, noise_scale):
         holidays=frozenset(
             [date(2020, 8, 10), date(2020, 8, 24), date(2020, 9, 7), date(2020, 9, 21)]
         ),
-        holiday_offset=-7.0,
+        holiday_offset=holiday_offset,
         trend=TrendConfig(level=10.0),
         seed=seed,
         drift=drift,
@@ -221,6 +221,27 @@ def test_drift_operating_characteristics(capsys):
         ok,
         f"false positives {false_pos}/100, detections {detected}/100, "
         f"{fp_elapsed:.1f}s + {det_elapsed:.1f}s",
+    )
+
+
+def test_noise_scale_without_a_holiday_effect_is_no_drift(capsys):
+    # the negative control of the sweep above: the same noise x3 from Sep 1 on
+    # the same seeds, with no holiday effect for the fit to miss.  z is
+    # scale-free, so at most 5 of 100 pairs may be flagged, the clean budget
+    t0 = time.monotonic()
+    reports = [
+        run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS).report
+        for s in (_mc_series(seed, 3.0, holiday_offset=0.0) for seed in range(100))
+    ]
+    flagged = sum(r.drifted for r in reports)
+    deltas = np.array([r.delta for r in reports])
+    elapsed = time.monotonic() - t0
+    report(
+        capsys,
+        "noise x3 without a holiday effect",
+        flagged <= 5 and elapsed < 60.0,
+        f"flagged {flagged}/100, median delta {np.median(deltas):.4f}, "
+        f"max {deltas.max():.4f}, {elapsed:.1f}s",
     )
 
 

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves and removed names stay gone."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,14 +36,18 @@ REMOVED = {
     "utdd.drift": ("utdd", "report_to_dict",  # save_report
                    "check_epsilon", "check_threshold"),  # utdd.verdict.check_positive
     "utdd.embeddings": ("training_residual", "_stage_spec", "predict_embedding",
-                        "check_epsilon"),  # utdd.verdict.check_positive
-    "utdd.verdict": ("check_threshold",),  # check_positive
+                        "check_epsilon",  # utdd.verdict.check_positive
+                        "model_to_dict", "model_from_dict"),  # save_model, load_model
+    "utdd.verdict": ("check_threshold",  # check_positive
+                     "report_from_dict"),  # load_report
     "utdd.stationarity": ("OlsFit", "schwert_lags",
                           "_second_pass"),  # inlined in ols
     "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
                     "ResidualStats", "residual_stats",
-                    "read_timestamp_table"),  # read_series_csv; np.loadtxt for the fit CSVs
-    "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us"),
+                    "read_timestamp_table",  # read_series_csv; np.loadtxt for the fit CSVs
+                    "is_flat"),  # not spread(values)
+    "utdd.simulate": ("sim_config_to_dict", "_drift_cut_us",
+                      "sim_config_from_dict"),  # load_sim_config
 }
 
 
@@ -149,14 +155,52 @@ def test_ols_returns_one_float_and_stays_unexported():
     assert "ols" not in utdd.stationarity.__all__
 
 
-def test_every_bench_probe_resolves():
-    """A refactor that moves a probed call must move its probe too, or traced runs break."""
+def bench_tracer():
+    """``bench/tracer.py``, imported read only."""
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_bench_probe_resolves():
+    """A refactor that moves a probed call must move its probe too, or traced runs break."""
+    tracer = bench_tracer()
     for module_name, attribute, _, _ in tracer.CLI_PROBES + tracer.LIBRARY_PROBES:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute}"
+
+
+def test_every_probe_behind_the_cli_2y_spans_fires(tmp_path, monkeypatch):
+    """The contract the traced bench run checks, here without the bench: simulate and
+    detect on the fixture call every probe whose span the cli-2y workload expects."""
+    tracer = bench_tracer()
+    calls = Counter()
+
+    def counting(original, span):
+        @functools.wraps(original)
+        def counted(*args, **kwargs):
+            calls[span] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    probes = dict.fromkeys(tracer.CLI_PROBES + tracer.CORE_PROBES)
+    for module_name, attribute, span, _ in probes:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attribute, counting(getattr(module, attribute), span))
+    monkeypatch.setenv("UTDD_SEED", "1")
+    series, report = str(tmp_path / "fixture.csv"), str(tmp_path / "report.json")
+    assert main(["simulate", "--config", str(ROOT / "configs" / "fixture.json"),
+                 "--out", series]) == 0
+    assert main(["detect", "--input", series,
+                 "--ref-from", "2020-08-01T00:00:00Z", "--ref-to", "2020-10-01T00:00:00Z",
+                 "--cur-from", "2020-09-01T00:00:00Z", "--cur-to", "2020-11-01T00:00:00Z",
+                 "--report-out", report]) in (0, 1)
+    # the child process opens these two spans itself; every other one has a probe
+    expected = tracer.EXPECTED_SPANS["cli-2y"] - {"cli.import", "cli.main"}
+    assert expected <= {span for _, _, span, _ in probes}
+    assert {span for span in expected if not calls[span]} == set(), calls
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

@@ -34,7 +34,7 @@ from utdd import (
 )
 from utdd.drift import fit_reference, write_fit_csv, write_residual_csv
 from utdd.series import write_timestamp_table
-from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION, report_from_dict
+from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
@@ -382,12 +382,19 @@ def without(key):
     return {k: v for k, v in REPORT_DOC.items() if k != key}
 
 
-def test_report_from_dict_refuses_what_it_cannot_read():
-    assert report_from_dict(REPORT_DOC) == DriftReport(
+def loaded(tmp_path, doc):
+    """``doc`` written to a file under ``tmp_path`` and read by :func:`load_report`."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))  # NaN as Python writes it
+    return load_report(path)
+
+
+def test_report_from_dict_refuses_what_it_cannot_read(tmp_path):
+    assert loaded(tmp_path, REPORT_DOC) == DriftReport(
         k_diffs=1, z_ref=0.5, z_curr=0.75, delta=0.25, threshold=0.1, drifted=True
     )
     # a JSON integer is a number
-    assert report_from_dict({**REPORT_DOC, "z_ref": 1}).z_ref == 1.0
+    assert loaded(tmp_path, {**REPORT_DOC, "z_ref": 1}).z_ref == 1.0
     refused = [
         5,
         None,
@@ -412,13 +419,13 @@ def test_report_from_dict_refuses_what_it_cannot_read():
     ]
     for doc in refused:
         with pytest.raises(InvalidArgumentError):
-            report_from_dict(doc)
+            loaded(tmp_path, doc)
 
 
-def test_report_refuses_an_impossible_differencing_order():
+def test_report_refuses_an_impossible_differencing_order(tmp_path):
     for k_diffs in (-3, -1):
         with pytest.raises(InvalidArgumentError, match="k_diffs"):
-            report_from_dict({**REPORT_DOC, "k_diffs": k_diffs})
+            loaded(tmp_path, {**REPORT_DOC, "k_diffs": k_diffs})
     numbers = dict(z_ref=0.5, z_curr=0.75, delta=0.25, threshold=0.1, drifted=True)
     for k_diffs in (-1, True, False, 1.0, "1", None, np.int64(1)):
         with pytest.raises(InvalidArgumentError, match="k_diffs"):
@@ -426,7 +433,7 @@ def test_report_refuses_an_impossible_differencing_order():
     assert DriftReport(k_diffs=0, **numbers).k_diffs == 0
 
 
-def test_report_verdict_must_follow_from_its_numbers():
+def test_report_verdict_must_follow_from_its_numbers(tmp_path):
     refused = [
         {**REPORT_DOC, "delta": 5.0, "drifted": False},  # delta is not |z_curr - z_ref|
         {**REPORT_DOC, "drifted": False},  # delta >= threshold
@@ -436,7 +443,7 @@ def test_report_verdict_must_follow_from_its_numbers():
     ]
     for doc in refused:
         with pytest.raises(InvalidArgumentError):
-            report_from_dict(doc)
+            loaded(tmp_path, doc)
     with pytest.raises(InvalidArgumentError):
         DriftReport(k_diffs=0, z_ref=0.5, z_curr=0.5, delta=5.0, threshold=0.1, drifted=False)
 

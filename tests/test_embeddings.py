@@ -2,8 +2,10 @@
 
 import copy
 import json
+import tempfile
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from utdd import (
     load_model,
     save_model,
 )
-from utdd.embeddings import MODEL_FORMAT_VERSION, model_from_dict, model_to_dict
+from utdd.embeddings import MODEL_FORMAT_VERSION
 
 UTC = timezone.utc
 MONDAY = datetime(2020, 8, 3, tzinfo=UTC)
@@ -245,25 +247,40 @@ def test_model_json_roundtrip_is_exact(tmp_path):
     assert_array_equal(boosted_predict(back, grid), boosted_predict(model, grid))
 
 
-def test_model_version_is_checked():
+def saved_doc(model):
+    """The JSON document that :func:`save_model` writes for ``model``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+def loaded(tmp_path, doc):
+    """``doc`` written to a file under ``tmp_path`` and read by :func:`load_model`."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+def test_model_version_is_checked(tmp_path):
     s = weeks(4, seed=10)
-    doc = model_to_dict(boosted_fit(s, (DOW,), k_diffs=0))
+    doc = saved_doc(boosted_fit(s, (DOW,), k_diffs=0))
     assert doc["version"] == MODEL_FORMAT_VERSION
     doc["version"] = MODEL_FORMAT_VERSION + 1
     with pytest.raises(InvalidArgumentError):
-        model_from_dict(doc)
+        loaded(tmp_path, doc)
 
 
-def test_model_v3_stores_dense_lookups_and_refuses_v1():
+def test_model_v3_stores_dense_lookups_and_refuses_v1(tmp_path):
     s = weeks(4, seed=11)
     model = boosted_fit(s, (DOW,), k_diffs=0)
-    doc = model_to_dict(model)
+    doc = saved_doc(model)
     assert doc["version"] == MODEL_FORMAT_VERSION == 3
     assert list(doc) == ["version", "k_diffs", "epsilon", "stages"]
     assert list(doc["stages"][0]) == ["feature", "lookup", "sse_reduction"]
     assert doc["stages"][0]["feature"] == {"kind": "day_of_week"}
     assert doc["stages"][0]["lookup"] == model.stages[0].lookup.tolist()
-    back = model_from_dict(json.loads(json.dumps(doc)))
+    back = loaded(tmp_path, doc)
     codes = extract_feature(s, DOW)
     assert_array_equal(back.stages[0].lookup[codes], model.stages[0].lookup[codes])
     # a version 1 document: codes-to-means dict per stage, cardinality per feature
@@ -281,30 +298,30 @@ def test_model_v3_stores_dense_lookups_and_refuses_v1():
         ],
     }
     with pytest.raises(InvalidArgumentError, match="version 1"):
-        model_from_dict(v1)
+        loaded(tmp_path, v1)
     short = copy.deepcopy(doc)
     short["stages"][0]["lookup"] = stage["lookup"][:6]
     with pytest.raises(InvalidArgumentError, match="needs 7 values"):
-        model_from_dict(short)
+        loaded(tmp_path, short)
 
 
-def test_model_v3_refuses_the_v2_summary_fields():
-    doc = model_to_dict(boosted_fit(weeks(4, seed=11), (DOW,), k_diffs=0))
+def test_model_v3_refuses_the_v2_summary_fields(tmp_path):
+    doc = saved_doc(boosted_fit(weeks(4, seed=11), (DOW,), k_diffs=0))
     v2_stats = {"mean": 0.0, "std": 1.0, "n": 672}
     with pytest.raises(InvalidArgumentError, match="^ref_stats: unknown key$"):
-        model_from_dict({**doc, "ref_stats": v2_stats})
+        loaded(tmp_path, {**doc, "ref_stats": v2_stats})
     stale = copy.deepcopy(doc)
     stale["stages"][0]["global_mean"] = 5.0
     with pytest.raises(InvalidArgumentError, match=r"^stages\[0\]\.global_mean: unknown key$"):
-        model_from_dict(stale)
+        loaded(tmp_path, stale)
     # a whole version 2 document is refused by its version, before any key is read
     v2 = {**stale, "version": 2, "ref_stats": v2_stats}
     with pytest.raises(InvalidArgumentError, match="version 2 is not supported; run utdd fit"):
-        model_from_dict(v2)
+        loaded(tmp_path, v2)
 
 
 def _malformed_model_docs():
-    doc = model_to_dict(boosted_fit(weeks(4, seed=12), (DOW, HOD), k_diffs=0))
+    doc = saved_doc(boosted_fit(weeks(4, seed=12), (DOW, HOD), k_diffs=0))
     assert len(doc["stages"]) == 2
     changes = {
         "no-epsilon": lambda d: d.pop("epsilon"),
@@ -346,9 +363,9 @@ def _malformed_model_docs():
 
 
 @pytest.mark.parametrize("doc", _malformed_model_docs())
-def test_model_from_dict_refuses_malformed_documents(doc):
+def test_model_from_dict_refuses_malformed_documents(tmp_path, doc):
     with pytest.raises(InvalidArgumentError):
-        model_from_dict(doc)
+        loaded(tmp_path, doc)
 
 
 def test_model_dataclasses_refuse_what_boosted_fit_never_writes():

@@ -4,20 +4,19 @@ import copy
 import functools
 import json
 import operator
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from utdd import (
     FeatureSpec, InvalidArgumentError, TimeSeries, boosted_fit, load_model, load_report,
-    load_sim_config,
+    load_sim_config, save_model,
 )
 from utdd.cli import main
-from utdd.embeddings import model_from_dict, model_to_dict
 from utdd.jsondoc import json_scalar
-from utdd.simulate import sim_config_from_dict
-from utdd.verdict import report_from_dict
 
 NAN, INF = float("nan"), float("inf")
 DELETE = object()
@@ -40,16 +39,19 @@ def _model():
     values = np.random.default_rng(3).normal(size=t.size) + np.sin(2 * np.pi * t / 24)
     series = TimeSeries(datetime(2020, 8, 3, tzinfo=timezone.utc), 3600.0, values + t // 24 % 7)
     features = (FeatureSpec("day_of_week"), FeatureSpec("hour_of_day"))
-    doc = model_to_dict(boosted_fit(series, features, k_diffs=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(boosted_fit(series, features, k_diffs=0), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     assert len(doc["stages"]) == 2
     return doc
 
 
-# reader, a valid document, and the subcommand that reads the file (no command reads a model)
+# loader, a valid document, and the subcommand that reads the file (no command reads a model)
 DOCS = {
-    "config": (sim_config_from_dict, CONFIG, "simulate"),
-    "model": (model_from_dict, _model(), None),
-    "report": (report_from_dict, REPORT, "report"),
+    "config": (load_sim_config, CONFIG, "simulate"),
+    "model": (load_model, _model(), None),
+    "report": (load_report, REPORT, "report"),
 }
 
 # (document, path of keys and indices, value put there or DELETE, path in the message)
@@ -107,16 +109,22 @@ def changed(doc, path, value):
     return doc
 
 
-def test_the_unchanged_documents_are_read():
-    for read, doc, _ in DOCS.values():
-        read(copy.deepcopy(doc))
+def loaded(tmp_path, name, doc):
+    """``doc`` written to a file under ``tmp_path`` and read by the loader of ``name``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
+    return DOCS[name][0](path)
+
+
+def test_the_unchanged_documents_are_read(tmp_path):
+    for name, (_, doc, _) in DOCS.items():
+        loaded(tmp_path, name, doc)
 
 
 @pytest.mark.parametrize("name, path, value, where", FAULTS)
-def test_each_reader_names_the_faulty_path(name, path, value, where):
-    read, doc, _ = DOCS[name]
+def test_each_reader_names_the_faulty_path(tmp_path, name, path, value, where):
     with pytest.raises(InvalidArgumentError) as err:
-        read(changed(doc, path, value))
+        loaded(tmp_path, name, changed(DOCS[name][1], path, value))
     assert str(err.value).startswith(f"{where}: "), str(err.value)
 
 

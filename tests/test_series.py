@@ -23,8 +23,8 @@ from utdd.series import (
     _BLOCK_ROWS,
     FEATURE_KINDS,
     format_utc,
-    is_flat,
     parse_utc,
+    spread,
     write_timestamp_table,
 )
 
@@ -239,7 +239,10 @@ def test_is_flat_agrees_with_the_two_reduction_rule_at_its_threshold(n, level, u
         values = level + scale * noise
         scale *= 1e-10 * (1.0 + abs(values.mean())) / (values.std() or 1.0)
     values = level + scale * (1.0 + ulps * 2.0**-52) * noise
-    assert is_flat(values) == two_reduction_is_flat(values)
+    std = spread(values)
+    assert (std == 0.0) == two_reduction_is_flat(values)
+    if std:
+        assert std == float(values.std())  # the std the rule measured is numpy's, bit for bit
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from utdd import (
     load_sim_config,
     simulate_series,
 )
-from utdd.simulate import _BLOCK_STEPS, sim_config_from_dict
+from utdd.simulate import _BLOCK_STEPS
 
 UTC = timezone.utc
 T0 = datetime(2020, 8, 1, tzinfo=UTC)
@@ -41,6 +41,13 @@ def base_cfg(**kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def loaded(tmp_path, doc):
+    """``doc`` written to a file under ``tmp_path`` and read by :func:`load_sim_config`."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return load_sim_config(path)
 
 
 def base_doc():
@@ -74,9 +81,9 @@ def test_sim_config_validation():
         base_cfg(sigma_eps=-1.0)
 
 
-def test_sim_config_keeps_the_grid_it_simulates():
+def test_sim_config_keeps_the_grid_it_simulates(tmp_path):
     # the step is the whole-microsecond step of the series, the start is UTC
-    cfg = sim_config_from_dict({**base_doc(), "step_seconds": 1 / 3, "n": 50})
+    cfg = loaded(tmp_path, {**base_doc(), "step_seconds": 1 / 3, "n": 50})
     assert cfg.step == simulate_series(cfg).step == 0.333333
     naive = base_cfg(start=datetime(2020, 8, 1))
     assert naive.start == T0 and naive.start.tzinfo is UTC
@@ -92,7 +99,7 @@ def test_sim_config_refuses_holidays_that_are_not_dates():
         base_cfg(holidays=frozenset(["2020-08-03"]))
 
 
-def test_config_from_document_setting_every_key():
+def test_config_from_document_setting_every_key(tmp_path):
     doc = {
         "start": "2020-08-01T00:00:00Z",
         "step_seconds": 3600,
@@ -114,7 +121,7 @@ def test_config_from_document_setting_every_key():
             "seasonal_scale": 1.5,
         },
     }
-    assert sim_config_from_dict(doc) == base_cfg(
+    assert loaded(tmp_path, doc) == base_cfg(
         trend=TrendConfig(level=3.0, slope=0.01),
         components=(
             SeasonalComponentConfig(24, 0.01),
@@ -127,38 +134,38 @@ def test_config_from_document_setting_every_key():
     )
 
 
-def test_config_rejects_unknown_keys():
+def test_config_rejects_unknown_keys(tmp_path):
     doc = base_doc()
     doc["typo"] = 1
     with pytest.raises(InvalidArgumentError):
-        sim_config_from_dict(doc)
+        loaded(tmp_path, doc)
 
     doc = base_doc()
     doc["trend"] = {"level": 0.0, "slop": 1}
     with pytest.raises(InvalidArgumentError):
-        sim_config_from_dict(doc)
+        loaded(tmp_path, doc)
 
     doc = base_doc()
     doc["components"][0]["sigma"] = 1
     with pytest.raises(InvalidArgumentError):
-        sim_config_from_dict(doc)
+        loaded(tmp_path, doc)
 
     doc = base_doc()
     doc["drift"] = {"at": "2020-10-01T00:00:00Z", "when": "2020-10-01T00:00:00Z"}
     with pytest.raises(InvalidArgumentError):
-        sim_config_from_dict(doc)
+        loaded(tmp_path, doc)
 
 
-def test_config_requires_core_fields():
+def test_config_requires_core_fields(tmp_path):
     for missing in ("start", "step_seconds", "n"):
         doc = base_doc()
         del doc[missing]
         with pytest.raises(InvalidArgumentError):
-            sim_config_from_dict(doc)
+            loaded(tmp_path, doc)
     doc = base_doc()
     doc["holidays"] = ["not-a-date"]
     with pytest.raises(InvalidArgumentError):
-        sim_config_from_dict(doc)
+        loaded(tmp_path, doc)
 
 
 def test_load_sim_config_file(tmp_path):

@@ -9,6 +9,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -284,10 +285,12 @@ def test_adf_calls_cholesky_as_numpy_1_24_does(monkeypatch):
 )
 @settings(max_examples=60, deadline=None)
 def test_adf_statistic_matches_an_exact_rational_solution(n, lags, rho, level, seed):
-    # AR(1) walks up to a unit root, far from zero: the ill-conditioned designs
-    # ADF meets.  Rounding moves the t-ratio by an amount that does not shrink
-    # with it, so the bound is relative to |t| only once |t| >= 1, which covers
-    # the critical value; below that it is 1e-9 absolute.
+    # AR(1) walks up to a unit root, far from zero.  Centring removes the level,
+    # so each design is well conditioned and one Cholesky factors it; the
+    # noisy-sinusoid tests below check the second pass and Householder QR.
+    # Rounding moves the t-ratio by an amount that does not shrink with it, so
+    # the bound is relative to |t| only once |t| >= 1, which covers the
+    # critical value; below that it is 1e-9 absolute.
     noise = np.random.default_rng(seed).standard_normal(n)
     x = np.empty(n)
     x[0] = noise[0]
@@ -295,7 +298,11 @@ def test_adf_statistic_matches_an_exact_rational_solution(n, lags, rho, level, s
         x[t] = rho * x[t - 1] + noise[t]
     x += level
     want = exact_t_ratio(*adf_design(x, lags))
-    got = ols(x, lags)
+    # hypothesis refuses function-scoped fixtures, so the counts come from mock
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky, \
+            mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        got = ols(x, lags)
+    assert (cholesky.call_count, qr.call_count) == (1, 0)
     assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
 
 
@@ -428,6 +435,24 @@ def test_second_pass_matches_an_exact_rational_solution_on_a_noisy_sinusoid(monk
     got = ols(x, lags)
     assert len(calls) == 2
     assert abs(got - want) <= 1e-9 * max(abs(want), 1.0), (got, want)
+
+
+@pytest.mark.parametrize("weekly, rel", [(False, 1e-10), (False, 1e-9), (False, 1e-8),
+                                         (True, 1e-10), (True, 1e-9)],
+                         ids=["daily-1e-10", "daily-1e-9", "daily-1e-8", "daily+weekly-1e-10",
+                              "daily+weekly-1e-9"])
+def test_householder_branch_matches_an_exact_rational_solution_on_a_noisy_sinusoid(monkeypatch,
+                                                                                  weekly, rel):
+    # The first Cholesky of these 200-point designs fails, so Householder QR of
+    # the explicit centred design factors them.  They come within 4.1e-10 to
+    # 4.0e-7 of max(|t|, 1), the worst at daily 1e-10.
+    x = noisy_sinusoid(200, weekly, rel)
+    lags = adf_test(x).lags_used
+    want = exact_t_ratio(*adf_design(x, lags))
+    choleskys, qrs = counting_choleskys(monkeypatch), counting_qrs(monkeypatch)
+    got = ols(x, lags)
+    assert (len(choleskys), len(qrs)) == (1, 1)
+    assert abs(got - want) <= 1e-6 * max(abs(want), 1.0), (got, want)
 
 
 def test_adf_takes_the_householder_branch_when_the_second_cholesky_fails(monkeypatch):

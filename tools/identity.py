@@ -18,7 +18,8 @@ with its own ``src`` on the path, in a fresh directory of its own:
   residuals are compared, and so is the message of any refusal.
 
 Both trees take their inputs from the working tree's ``bench/workloads.py``,
-imported read only.  Prints one line per check and exits 1 on any difference.
+imported read only.  Prints one line per check, then the line counts of both
+trees' ``src`` next to the verdict, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def cli_commands(workloads, holidays: str) -> list:
     ]
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the ``.py`` files under ``tree/src``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def snapshot(work: Path) -> dict:
     return {path.name: path.read_bytes() for path in work.iterdir()}
 
@@ -158,6 +164,7 @@ def main(argv: list) -> int:
         subprocess.run(["git", "-C", str(ROOT), "archive", "--output", str(archive), rev],
                        check=True)
         subprocess.run(["tar", "-x", "-f", str(archive), "-C", str(old)], check=True)
+        line_counts = f"src/ lines: {src_lines(old):,} at {rev}, {src_lines(ROOT):,} in the working tree"
         old_cli, old_monitor = run_tree(old, Path(tmp) / "run-rev", commands)
         new_cli, new_monitor = run_tree(ROOT, Path(tmp) / "run-tree", commands)
 
@@ -189,6 +196,7 @@ def main(argv: list) -> int:
             print(f"  window {i}: tree: {new_monitor[i] if i < len(new_monitor) else None}")
     else:
         print(f"same     monitor-lib: {len(new_monitor)} windows ({what})")
+    print(line_counts)
     if differ:
         print(f"{differ} of {len(commands) + 1} checks differ")
         return 1
