@@ -45,7 +45,7 @@ from .errors import InvalidArgumentError, UtddError
 from .jsondoc import NUMBER
 from .verdict import (
     DEFAULT_EPSILON, DEFAULT_FEATURE_ORDER, DEFAULT_MAX_DIFF, DEFAULT_THRESHOLD, DriftReport,
-    check_max_diff, check_positive, load_report, save_report,
+    check_count, check_positive, load_report, save_report,
 )
 
 __all__ = ["main"]
@@ -157,7 +157,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     features = _features(args)
     bounds = _bounds(args.window_from, args.window_to, "--from/--to")
     check_positive(args.epsilon, "epsilon")
-    check_max_diff(args.max_diff)
+    check_count(args.max_diff, "max_diff")
     window = read_series_csv(args.input).window(*bounds)
     model = fit_reference(window, features, epsilon=args.epsilon, max_diff=args.max_diff)
     save_model(model, args.model_out)
@@ -183,7 +183,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cur_bounds = _bounds(args.cur_from, args.cur_to, "--cur-from/--cur-to")
     check_positive(args.threshold, "threshold")
     check_positive(args.epsilon, "epsilon")
-    check_max_diff(args.max_diff)
+    check_count(args.max_diff, "max_diff")
     series = read_series_csv(args.input)
     reference, current = series.window(*ref_bounds), series.window(*cur_bounds)
     result = run_utdd(

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, read_json, write_json
 from .series import FeatureSpec, TimeSeries, diff, extract_feature, spread
-from .verdict import DEFAULT_EPSILON, check_positive
+from .verdict import DEFAULT_EPSILON, check_count, check_positive
 
 __all__ = [
     "EmbeddingModel",
@@ -80,8 +80,9 @@ class BoostedModel:
     k_diffs: int
 
     def __post_init__(self) -> None:
-        if self.k_diffs < 0 or not 0 <= self.epsilon < math.inf:
-            raise InvalidArgumentError("k_diffs and epsilon must be non-negative and finite")
+        check_count(self.k_diffs, "k_diffs")
+        if not 0 <= self.epsilon < math.inf:
+            raise InvalidArgumentError("epsilon must be non-negative and finite")
 
 
 def fit_embedding(
@@ -144,7 +145,7 @@ def boosted_fit(
     """
     features = check_features(features)
     check_positive(epsilon, "epsilon")
-    k_diffs = int(k_diffs)
+    check_count(k_diffs, "k_diffs")
     max_card = max(spec.cardinality for spec in features)
     if len(series) - k_diffs < 2 * max_card:
         raise InvalidArgumentError(

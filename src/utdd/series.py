@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CsvFormatError, InvalidArgumentError
 from .jsondoc import NUMBER
+from .verdict import check_count
 
 __all__ = [
     "TimeSeries",
@@ -244,9 +245,7 @@ def diff(series: TimeSeries, k: int) -> TimeSeries:
     (each value is attributed to the last timestamp it involves).  ``k=0``
     returns an identical copy.
     """
-    k = int(k)
-    if k < 0:
-        raise InvalidArgumentError("difference order must be non-negative")
+    check_count(k, "difference order")
     if k >= len(series):
         raise InvalidArgumentError(
             f"difference order {k} requires a series longer than {k} points"
@@ -432,8 +431,8 @@ def read_series_csv(path) -> TimeSeries:
     checked before any row, and each row before the next.
     """
     header = _header(["value"])
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="utf-8") as fh:  # lines end at \n, \r\n or \r only
+        lines = [line.removesuffix("\n") for line in fh]
     if not lines:
         raise CsvFormatError("file is empty", line=1)
     if lines[0] != header:

@@ -45,6 +45,7 @@ from .jsondoc import json_array, json_object, json_scalar, read_json
 from .series import (
     FeatureSpec, TimeSeries, check_grid, coerce_utc, extract_feature, parse_utc, utc_us,
 )
+from .verdict import check_count
 
 __all__ = [
     "SeasonalComponentConfig",
@@ -70,8 +71,7 @@ class SeasonalComponentConfig:
     sigma_omega: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s < 2:
-            raise InvalidArgumentError("seasonal length s must be at least 2")
+        check_count(self.s, "seasonal length s", minimum=2)
         if not self.sigma_omega >= 0:
             raise InvalidArgumentError("sigma_omega must be non-negative")
 
@@ -124,14 +124,12 @@ class SimConfig:
     drift: Optional[DriftInjection] = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidArgumentError("n must be at least 1")
+        check_count(self.n, "n", minimum=1)
         object.__setattr__(self, "start", coerce_utc(self.start))
         object.__setattr__(self, "step", check_grid(self.start, self.step, self.n) / 1e6)
         if not self.sigma_eps >= 0:
             raise InvalidArgumentError("sigma_eps must be non-negative")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be non-negative")
+        check_count(self.seed, "seed")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "holidays", FeatureSpec("is_holiday", self.holidays).holiday_dates)
 

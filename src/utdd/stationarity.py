@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .series import TimeSeries, spread
-from .verdict import DEFAULT_MAX_DIFF, check_max_diff
+from .verdict import DEFAULT_MAX_DIFF, check_count
 
 __all__ = [
     "ADF_CRITICAL_5PCT",
@@ -286,7 +286,7 @@ def ndiffs(series: TimeSeries, max_diff: int = DEFAULT_MAX_DIFF) -> NdiffsResult
         raise InvalidArgumentError(
             f"series has {len(series)} points; need at least {MIN_WINDOW_POINTS}"
         )
-    max_diff = check_max_diff(max_diff)
+    max_diff = check_count(max_diff, "max_diff")
     trail: list[AdfResult] = []
     for k in range(max_diff + 1):
         # each level differences the last once, bit for bit as np.diff(x, n=k) does

@@ -4,9 +4,9 @@ A report holds the differencing order, both window statistics and the
 verdict ``|z_curr - z_ref| >= threshold``.  This module also holds the
 defaults the command line shows before any command runs, so that
 ``utdd report``, ``--help`` and usage errors start without numpy, and the
-package's one rule for each tuning parameter: the threshold and epsilon
-must be positive and finite, and the differencing cap non-negative.  The
-command line applies them before it reads its input.
+package's one rule for each kind of parameter: the threshold and epsilon
+must be positive and finite numbers, and every count an ``int`` of at least
+its minimum.  The command line applies them before it reads its input.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .jsondoc import json_object, json_version, read_json, write_json
 
 __all__ = [
     "DEFAULT_EPSILON", "DEFAULT_FEATURE_ORDER", "DEFAULT_MAX_DIFF", "DEFAULT_THRESHOLD",
-    "REPORT_FORMAT_VERSION", "DriftReport", "check_max_diff", "check_positive", "detect",
+    "REPORT_FORMAT_VERSION", "DriftReport", "check_count", "check_positive", "detect",
     "save_report", "load_report",
 ]
 
@@ -36,17 +36,19 @@ REPORT_FORMAT_VERSION = 2
 
 
 def check_positive(value: float, name: str) -> None:
-    """Refuse a ``value`` that is not positive and finite with :class:`InvalidArgumentError`."""
-    if not 0 < value < math.inf:
+    """Refuse a bool, or a ``value`` not positive and finite, with :class:`InvalidArgumentError`."""
+    if type(value) is bool or not 0 < value < math.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite")
 
 
-def check_max_diff(max_diff: int) -> int:
-    """``max_diff`` as an int; a negative one is refused with :class:`InvalidArgumentError`."""
-    max_diff = int(max_diff)
-    if max_diff < 0:
-        raise InvalidArgumentError("max_diff must be non-negative")
-    return max_diff
+def check_count(value: int, name: str, minimum: int = 0) -> int:
+    """``value``, an exact ``int`` of at least ``minimum``; else :class:`InvalidArgumentError`."""
+    if type(value) is not int:  # a bool, float, str or numpy integer is no count
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = f"at least {minimum}" if minimum else "non-negative"
+        raise InvalidArgumentError(f"{name} must be {bound}")
+    return value
 
 
 def detect(z_ref: float, z_curr: float, threshold: float) -> bool:
@@ -72,8 +74,7 @@ class DriftReport:
     drifted: bool
 
     def __post_init__(self) -> None:
-        if type(self.k_diffs) is not int or self.k_diffs < 0:
-            raise InvalidArgumentError("k_diffs must be a non-negative integer")
+        check_count(self.k_diffs, "k_diffs")
         if self.delta != abs(self.z_curr - self.z_ref):
             raise InvalidArgumentError("delta must equal |z_curr - z_ref|")
         if self.drifted != detect(self.z_ref, self.z_curr, self.threshold):

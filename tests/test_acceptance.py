@@ -176,8 +176,10 @@ def test_zscore_analytics(capsys):
     )
 
 
-def _mc_series(seed, noise_scale, holiday_offset=-7.0):
-    drift = DriftInjection(at=SEP, noise_scale=noise_scale) if noise_scale != 1.0 else None
+def _mc_series(seed, noise_scale, holiday_offset=-7.0, level_shift=0.0):
+    drift = None
+    if noise_scale != 1.0 or level_shift != 0.0:
+        drift = DriftInjection(at=SEP, level_shift=level_shift, noise_scale=noise_scale)
     cfg = SimConfig(
         start=T0,
         step=3600.0,
@@ -242,6 +244,33 @@ def test_noise_scale_without_a_holiday_effect_is_no_drift(capsys):
         flagged <= 5 and elapsed < 60.0,
         f"flagged {flagged}/100, median delta {np.median(deltas):.4f}, "
         f"max {deltas.max():.4f}, {elapsed:.1f}s",
+    )
+
+
+def test_level_shift_at_the_current_window_is_no_drift(capsys):
+    # the other negative control of the sweeps above: a level shift of 3.0 from
+    # Sep 1, the current window's first point, with no holiday effect.  The
+    # reference is untouched and the fit absorbs a constant, so z_curr moves by
+    # rounding only
+    t0 = time.monotonic()
+    flagged, deltas, worst = 0, [], 0.0
+    for seed in range(100):
+        clean, shifted = (
+            run_utdd(s.window(T0, SEP), s.window(SEP, OCT), FEATS).report
+            for s in (_mc_series(seed, 1.0, holiday_offset=0.0, level_shift=shift)
+                      for shift in (0.0, 3.0))
+        )
+        assert shifted.z_ref == clean.z_ref, seed
+        worst = max(worst, abs(shifted.z_curr - clean.z_curr))
+        flagged += shifted.drifted
+        deltas.append(shifted.delta)
+    elapsed = time.monotonic() - t0
+    report(
+        capsys,
+        "level shift +3.0 at the current window",
+        flagged <= 5 and worst <= 1e-12 and elapsed < 60.0,
+        f"flagged {flagged}/100, median delta {np.median(deltas):.4f}, max {max(deltas):.4f}, "
+        f"z_curr within {worst:.1e} of the unshifted run, {elapsed:.1f}s",
     )
 
 

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves and removed names stay gone."""
 
+import argparse
 import ast
 import functools
 import importlib
@@ -22,7 +23,9 @@ import pytest
 
 import utdd
 from utdd.cli import main
+from utdd.series import parse_utc
 from utdd.stationarity import ols
+from utdd.verdict import DEFAULT_EPSILON, DEFAULT_MAX_DIFF
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +42,8 @@ REMOVED = {
                         "check_epsilon",  # utdd.verdict.check_positive
                         "model_to_dict", "model_from_dict"),  # save_model, load_model
     "utdd.verdict": ("check_threshold",  # check_positive
-                     "report_from_dict"),  # load_report
+                     "report_from_dict",  # load_report
+                     "check_max_diff"),  # check_count
     "utdd.stationarity": ("OlsFit", "schwert_lags",
                           "_second_pass"),  # inlined in ols
     "utdd.series": ("_first_failure", "json_scalar", "write_json",  # utdd.jsondoc
@@ -264,3 +268,62 @@ def test_package_namespace_is_exactly_all():
         for name in removed:
             with pytest.raises(AttributeError):
                 getattr(module, name)
+
+
+def _max_diff(args, value):
+    return argparse.Namespace(**{**vars(args), "max_diff": value})
+
+
+# Every place the package takes a count: (parameter name, smallest valid int, call on the value).
+COUNT_SITES = {
+    "cli-fit-max-diff": ("max_diff", 0, lambda v, a: utdd.cli.cmd_fit(_max_diff(a, v))),
+    "cli-detect-max-diff": ("max_diff", 0, lambda v, a: utdd.cli.cmd_detect(_max_diff(a, v))),
+    "ndiffs-max-diff": ("max_diff", 0, lambda v, a: utdd.ndiffs(a.series, max_diff=v)),
+    "run-utdd-max-diff": ("max_diff", 0, lambda v, a: utdd.run_utdd(
+        a.series.window(*a.ref), a.series.window(*a.cur), a.feats, max_diff=v)),
+    "diff-order": ("difference order", 0, lambda v, a: utdd.diff(a.series, v)),
+    "boosted-fit-k-diffs": ("k_diffs", 0, lambda v, a: utdd.boosted_fit(
+        a.series, a.feats, k_diffs=v)),
+    "boosted-model-k-diffs": ("k_diffs", 0, lambda v, a: utdd.BoostedModel((), 0.0, v)),
+    "drift-report-k-diffs": ("k_diffs", 0, lambda v, a: utdd.DriftReport(
+        v, 0.5, 0.75, 0.25, 0.1, True)),
+    "sim-config-n": ("n", 1, lambda v, a: utdd.SimConfig(a.series.start, 3600.0, v)),
+    "sim-config-seed": ("seed", 0, lambda v, a: utdd.SimConfig(
+        a.series.start, 3600.0, 24, seed=v)),
+    "seasonal-s": ("seasonal length s", 2, lambda v, a: utdd.SeasonalComponentConfig(v)),
+}
+
+
+@pytest.fixture(scope="module")
+def count_args(tmp_path_factory):
+    """``fit`` and ``detect`` arguments on the fixture CSV, with the series and windows they name."""
+    out = tmp_path_factory.mktemp("counts")
+    config = str(ROOT / "configs" / "fixture.json")
+    assert main(["simulate", "--config", config, "--out", str(out / "fixture.csv")]) == 0
+    ref = ("2020-08-01T00:00:00Z", "2020-10-01T00:00:00Z")
+    cur = ("2020-09-01T00:00:00Z", "2020-11-01T00:00:00Z")
+    return argparse.Namespace(
+        input=str(out / "fixture.csv"), features="day_of_week,hour_of_day", holidays=None,
+        epsilon=DEFAULT_EPSILON, max_diff=DEFAULT_MAX_DIFF, threshold=0.1, reuse_model=False,
+        window_from=ref[0], window_to=ref[1], model_out=str(out / "model.json"),
+        ref_from=ref[0], ref_to=ref[1], cur_from=cur[0], cur_to=cur[1],
+        report_out=str(out / "report.json"),
+        series=utdd.read_series_csv(out / "fixture.csv"),
+        ref=tuple(map(parse_utc, ref)), cur=tuple(map(parse_utc, cur)),
+        feats=(utdd.FeatureSpec("day_of_week"), utdd.FeatureSpec("hour_of_day")),
+    )
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_is_an_int_of_at_least_its_minimum(site, count_args):
+    # one rule, verdict.check_count: a float is not truncated, and a bool, a string,
+    # None and a numpy integer are no count, as none of them is a JSON integer
+    name, minimum, call = COUNT_SITES[site]
+    for value in (1.5, 0.9, True, "2", None, np.int64(1)):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(utdd.InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            call(value, count_args)
+    bound = f"at least {minimum}" if minimum else "non-negative"
+    with pytest.raises(utdd.InvalidArgumentError, match=f"^{re.escape(name)} must be {bound}$"):
+        call(minimum - 1, count_args)
+    call(minimum, count_args)

@@ -229,12 +229,14 @@ def test_fit_reference_refuses_a_bad_feature_list_before_ndiffs(monkeypatch, fea
      ({"threshold": -0.1}, "threshold must be positive and finite"),
      ({"threshold": float("nan")}, "threshold must be positive and finite"),
      ({"threshold": float("inf")}, "threshold must be positive and finite"),
+     ({"threshold": True}, "threshold must be positive and finite"),
      ({"epsilon": -1.0}, "epsilon must be positive and finite"),
      ({"epsilon": 0.0}, "epsilon must be positive and finite"),
      ({"epsilon": float("nan")}, "epsilon must be positive and finite"),
-     ({"epsilon": float("inf")}, "epsilon must be positive and finite")],
-    ids=["threshold-0", "threshold-negative", "threshold-nan", "threshold-inf",
-         "epsilon-negative", "epsilon-0", "epsilon-nan", "epsilon-inf"],
+     ({"epsilon": float("inf")}, "epsilon must be positive and finite"),
+     ({"epsilon": True}, "epsilon must be positive and finite")],
+    ids=["threshold-0", "threshold-negative", "threshold-nan", "threshold-inf", "threshold-true",
+         "epsilon-negative", "epsilon-0", "epsilon-nan", "epsilon-inf", "epsilon-true"],
 )
 def test_run_utdd_refuses_a_bad_threshold_or_epsilon_before_fitting(monkeypatch, option, message):
     s = two_month_series(seed=7)

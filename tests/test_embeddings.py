@@ -195,7 +195,7 @@ def test_boosted_fit_degenerate_constant_series():
 
 
 def test_boosted_fit_refuses_a_negative_differencing_order():
-    # diff refuses it; boosted_fit keeps no check of its own
+    # verdict.check_count refuses it before diff is called
     with pytest.raises(InvalidArgumentError, match="non-negative"):
         boosted_fit(weeks(4, seed=7), (DOW, HOD), k_diffs=-1)
 

@@ -563,6 +563,37 @@ def test_csv_reports_the_first_offending_line(tmp_path, header, edits, message):
     assert str(err.value) == message
 
 
+
+@pytest.mark.parametrize(
+    "separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+    ids=["vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps"],
+)
+def test_csv_lines_end_only_at_a_line_feed_or_carriage_return(tmp_path, separator):
+    # str.splitlines ends a line at each of these too, and would call line 5 blank
+    lines = ["timestamp,value"] + [f"2020-08-01T0{h}:00:00Z,{h}.0" for h in range(6)]
+    lines[3] += separator
+    path = tmp_path / "separator.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    with pytest.raises(CsvFormatError) as err:
+        read_series_csv(path)
+    assert str(err.value) == "line 4: bad numeric value"
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_csv_reads_lf_crlf_and_cr_line_endings_alike(tmp_path, ending):
+    s = hourly([1.0, 2.5, -3.0, 4.0])
+    path = tmp_path / "endings.csv"
+    write_series_csv(s, path)
+    text = path.read_text(encoding="utf-8")
+    for body in (text, text.removesuffix("\n")):  # with and without a final line ending
+        path.write_bytes(body.replace("\n", ending).encode("utf-8"))
+        back = read_series_csv(path)
+        assert (back.start, back.step) == (s.start, s.step)
+        assert_array_equal(back.values, s.values)
+    path.write_bytes((text + "\n").replace("\n", ending).encode("utf-8"))
+    with pytest.raises(CsvFormatError, match=f"^line {len(s) + 2}: blank line$"):
+        read_series_csv(path)
+
 def test_timestamp_table_multicolumn(tmp_path):
     a = np.arange(5.0)
     b = np.arange(5.0) * 0.5

@@ -8,10 +8,12 @@ with its own ``src`` on the path, in a fresh directory of its own:
 
 - the command line, in this order: ``simulate`` of the fixture at its own seed
   and at ``UTDD_SEED=1`` and of the two-year bench config; ``detect`` on the
-  README windows, on the reference window against itself and on the two years
-  with the config's ``--holidays``; ``fit`` with the README's flags; ``report``
-  on both reports.  Every file a command writes, its stdout, its stderr and
-  its exit code are compared.
+  README windows with and without ``--reuse-model``, on the reference window
+  against itself and on the two years with the config's ``--holidays``;
+  ``detect --max-diff -1``, refused before its missing input is read; ``fit``
+  with the README's flags and on a 10-hour window, refused as too short;
+  ``report`` on both reports.  Every file a command writes, its stdout, its
+  stderr and its exit code are compared.
 - the library: ``run_utdd`` on the 210 window pairs of the ``monitor-lib``
   workload (seeds 1-10, the set-up pair and 20 pairs each, scored as
   ``bench/monitor_child.py`` scores them).  k, ``z_ref``, ``z_curr`` and both
@@ -95,14 +97,23 @@ def cli_commands(workloads, holidays: str) -> list:
         ("simulate two-year", {}, ["simulate", "--config", "two_year.json", "--out", "two_year.csv"]),
         ("detect README", {},
          ["detect", "--input", "fixture.csv", *windows(readme), "--report-out", "report.json"]),
+        ("detect README --reuse-model", {},
+         ["detect", "--input", "fixture.csv", *windows(readme), "--reuse-model",
+          "--report-out", "reuse.json"]),
         ("detect self-comparison", {},
          ["detect", "--input", "fixture.csv", *windows(readme[:2] * 2), "--report-out", "self.json"]),
         ("detect two-year --holidays", {},
          ["detect", "--input", "two_year.csv", "--holidays", holidays, *windows(two_year),
           "--report-out", "two_year.json"]),
+        ("detect --max-diff -1", {},
+         ["detect", "--input", "missing.csv", *windows(readme), "--max-diff", "-1",
+          "--report-out", "refused.json"]),
         ("fit README", {},
          ["fit", "--input", "fixture.csv", "--from", readme[0], "--to", readme[1],
           "--features", "day_of_week,hour_of_day", "--model-out", "model.json"]),
+        ("fit 10-hour window", {},
+         ["fit", "--input", "fixture.csv", "--from", readme[0], "--to", "2020-08-01T10:00:00Z",
+          "--model-out", "short.json"]),
         ("report README", {}, ["report", "--report", "report.json"]),
         ("report two-year", {}, ["report", "--report", "two_year.json"]),
     ]
