@@ -139,9 +139,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     env_seed = os.environ.get("UTDD_SEED")
     if env_seed:
         try:
-            cfg = replace(cfg, seed=_INT(env_seed))
+            seed = _INT(env_seed)
         except ValueError:
             raise InvalidArgumentError(f"UTDD_SEED must be an integer, got {env_seed!r}") from None
+        cfg = replace(cfg, seed=seed)  # SimConfig refuses a negative seed by name
     series = simulate_series(cfg)
     write_series_csv(series, args.out)
     print(

@@ -73,7 +73,9 @@ def compute_zscore(residual: Sequence[float]) -> float:
     std = spread(r)
     if not std:
         raise DegenerateInputError("residual has zero variance")
-    return float(np.abs(r - r.mean()).mean() / std)
+    # bit for bit np.abs(r - r.mean()).mean() / std, without numpy's mean wrapper
+    dev = np.abs(r - r.sum() / r.size)
+    return float(dev.sum() / dev.size / std)
 
 
 def fit_reference(window: TimeSeries, features: Sequence, *, epsilon: float = DEFAULT_EPSILON,

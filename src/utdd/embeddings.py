@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .jsondoc import json_array, json_object, json_version, read_json, write_json
-from .series import FeatureSpec, TimeSeries, diff, extract_feature, spread
+from .series import FeatureSpec, TimeSeries, calendar_codes, diff, grid_calendar, spread
 from .verdict import DEFAULT_EPSILON, check_count, check_positive
 
 __all__ = [
@@ -107,7 +107,7 @@ def fit_embedding(
     counts = np.bincount(codes, minlength=spec.cardinality)
     sums = np.bincount(codes, weights=target, minlength=spec.cardinality)
     seen = np.nonzero(counts)[0]
-    global_mean = float(target.mean())
+    global_mean = float(target.sum() / target.size)  # bit for bit target.mean()
     lookup = np.full(spec.cardinality, global_mean)
     lookup[seen] = sums[seen] / counts[seen]
     # the sum of squares that the group means explain, which cannot go negative
@@ -163,11 +163,12 @@ def boosted_fit(
         raise InvalidArgumentError("epsilon times the std of the differenced target overflows")
 
     stages: list[EmbeddingModel] = []
+    calendar = grid_calendar(work)
     for spec in features:
-        codes = extract_feature(work, spec)
+        codes = calendar_codes(calendar, spec)
         stage = fit_embedding(codes, residual, spec)
         contribution = stage.lookup[codes]
-        if float(np.sqrt(np.mean(contribution**2))) < eps:
+        if float(np.sqrt((contribution**2).sum() / contribution.size)) < eps:
             break
         stages.append(stage)
         residual = residual - contribution
@@ -177,9 +178,10 @@ def boosted_fit(
 def boosted_predict(model: BoostedModel, series_grid: TimeSeries) -> np.ndarray:
     """Sum of stage predictions over any time grid (the fitted seasonal component)."""
     out = np.zeros(len(series_grid), dtype=np.float64)
+    calendar = grid_calendar(series_grid)
     for stage in model.stages:
-        # extract_feature's codes lie below the cardinality, the length of every lookup
-        out += stage.lookup[extract_feature(series_grid, stage.feature)]
+        # the codes lie below the cardinality, the length of every lookup
+        out += stage.lookup[calendar_codes(calendar, stage.feature)]
     return out
 
 

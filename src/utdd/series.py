@@ -88,9 +88,10 @@ def spread(values) -> float:
     (std 7.5e-10 against 1.1e-10).  ROADMAP item 6 makes the rule relative.
     """
     arr = np.asarray(values, dtype=np.float64)
-    mean = arr.mean()
-    # bit for bit arr.std(), which would sum the array for its mean once more
-    std = float(np.sqrt(np.mean((arr - mean) ** 2)))
+    # bit for bit arr.mean() and arr.std(), without numpy's wrapper, and the
+    # array summed for its mean once, where arr.std() would sum it once more
+    mean = arr.sum() / arr.size
+    std = float(np.sqrt(((arr - mean) ** 2).sum() / arr.size))
     return 0.0 if std < 1e-10 * (1.0 + abs(float(mean))) else std
 
 
@@ -243,9 +244,11 @@ def diff(series: TimeSeries, k: int) -> TimeSeries:
 
     The result has ``len(series) - k`` points and starts ``k`` steps later
     (each value is attributed to the last timestamp it involves).  ``k=0``
-    returns an identical copy.
+    returns the series itself, which is immutable.
     """
     check_count(k, "difference order")
+    if not k:
+        return series
     if k >= len(series):
         raise InvalidArgumentError(
             f"difference order {k} requires a series longer than {k} points"
@@ -253,25 +256,30 @@ def diff(series: TimeSeries, k: int) -> TimeSeries:
     return TimeSeries(series.timestamp(k), series.step, np.diff(series.values, n=k))
 
 
-def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
-    """Category id per point, computed from each point's timestamp.
+def grid_calendar(series: TimeSeries) -> tuple:
+    """The calendar that :func:`calendar_codes` reads every feature of ``series`` from.
 
-    The result is an int64 array with every id below ``spec.cardinality``.
-    Every kind but ``hour_of_day`` depends on the date alone, so its codes are
-    computed once per distinct day and gathered by day.  The day table spans
-    the window's days when they are no more than its points, else it is the
-    points' own days, so memory stays bounded by the point count at any step.
+    It is ``(us, day, days, index)``: each point's epoch microseconds and day
+    number (days since 1970-01-01, ascending), a table of days, and each
+    point's row in it (None when the table is ``day`` itself).  The table
+    spans the window's days when they are no more than its points, else it is
+    the points' own days, so memory stays bounded by the point count at any step.
     """
     us = series.epoch_us()
-    if spec.kind == "hour_of_day":
-        # the time of day by a floor division, about twice as fast as numpy's int64 remainder
-        return (us - us // _US_PER_DAY * _US_PER_DAY) // _US_PER_HOUR
-    day = us // _US_PER_DAY  # days since 1970-01-01, ascending
+    day = us // _US_PER_DAY
     first, span = int(day[0]), int(day[-1] - day[0]) + 1
     if span <= day.size:  # every day from the first point's to the last's
-        days, index = np.arange(first, first + span, dtype=np.int64), day - first
-    else:  # a step of over a day: no two points share a day
-        days, index = day, None
+        return us, day, np.arange(first, first + span, dtype=np.int64), day - first
+    return us, day, day, None  # a step of over a day: no two points share a day
+
+
+def calendar_codes(calendar: tuple, spec: FeatureSpec) -> np.ndarray:
+    """The codes of ``spec`` at every point of a :func:`grid_calendar`."""
+    us, day, days, index = calendar
+    if spec.kind == "hour_of_day":
+        # the time of day by a floor division, about twice as fast as numpy's int64 remainder
+        return (us - day * _US_PER_DAY) // _US_PER_HOUR
+    # every other kind depends on the date alone: computed once per day of the table
     if spec.kind == "month_of_year":
         codes = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12
     elif spec.kind == "is_holiday":
@@ -285,6 +293,16 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
         if spec.kind == "is_weekend":
             codes = (codes >= 5).astype(np.int64)
     return codes if index is None else codes[index]
+
+
+def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
+    """Category id per point, computed from each point's timestamp.
+
+    The result is an int64 array with every id below ``spec.cardinality``.
+    ``boosted_fit`` and ``boosted_predict`` build the :func:`grid_calendar` once
+    per call and share it, reading each feature with :func:`calendar_codes`.
+    """
+    return calendar_codes(grid_calendar(series), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,23 @@ def test_simulate_bad_env_seed(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "seed must be non-negative"),  # an integer: the config's count rule names it
+        ("1.5", "UTDD_SEED must be an integer, got '1.5'"),
+        ("abc", "UTDD_SEED must be an integer, got 'abc'"),
+    ],
+    ids=["negative", "float", "word"],
+)
+def test_simulate_names_the_fault_of_an_env_seed(tmp_path, monkeypatch, capsys, seed, message):
+    monkeypatch.setenv("UTDD_SEED", seed)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", FIXTURE_CONFIG, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "seed", ["1_0", "\u0663", " 7", "7 "],
     ids=["underscore", "arabic-indic-3", "lead-space", "trail-space"],
 )

@@ -33,7 +33,7 @@ from utdd import (
     simulate_series,
 )
 from utdd.drift import fit_reference, write_fit_csv, write_residual_csv
-from utdd.series import write_timestamp_table
+from utdd.series import spread, write_timestamp_table
 from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION
 
 UTC = timezone.utc
@@ -98,6 +98,22 @@ def test_zscore_scale_shift_invariant(scale, shift_factor):
     rng = np.random.default_rng(1)
     r = rng.standard_normal(500)
     assert abs(compute_zscore(scale * r + shift_factor * scale) - compute_zscore(r)) < 1e-10
+
+
+@given(
+    n=st.integers(min_value=2, max_value=9_000),
+    level=st.floats(min_value=-1e12, max_value=1e12),
+    scale=st.floats(min_value=1e-6, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_zscore_is_numpys_reductions_bit_for_bit(n, level, scale, seed):
+    r = level + scale * np.random.default_rng(seed).standard_normal(n)
+    if not spread(r):  # the noise is lost in the level's rounding
+        with pytest.raises(DegenerateInputError):
+            compute_zscore(r)
+    else:
+        assert compute_zscore(r) == float(np.abs(r - r.mean()).mean() / r.std())
 
 
 def test_zscore_errors():

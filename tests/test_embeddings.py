@@ -89,6 +89,15 @@ def test_fit_embedding_unseen_category_falls_back_to_global_mean():
         m.lookup[2] = 0.0  # read-only
 
 
+@pytest.mark.parametrize("level", [0.0, -3e3, 1e9])
+def test_fit_embedding_unseen_category_is_the_target_mean_bit_for_bit(level):
+    rng = np.random.default_rng(7)
+    target = level + 1e3 * rng.standard_normal(5_000)
+    codes = rng.integers(0, 12, target.size)  # hours 12..23 are never seen
+    m = fit_embedding(codes, target, FeatureSpec("hour_of_day"))
+    assert (m.lookup[12:] == target.mean()).all()
+
+
 def test_fit_embedding_validation():
     spec = FeatureSpec("is_weekend")
     with pytest.raises(InvalidArgumentError):

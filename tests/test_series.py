@@ -22,7 +22,9 @@ from utdd import (
 from utdd.series import (
     _BLOCK_ROWS,
     FEATURE_KINDS,
+    calendar_codes,
     format_utc,
+    grid_calendar,
     parse_utc,
     spread,
     write_timestamp_table,
@@ -209,6 +211,11 @@ def test_diff_orders():
     assert d0.start == s.start
 
 
+def test_diff_of_order_zero_is_the_series_itself():
+    s = hourly([1.0, 4.0, 9.0])
+    assert diff(s, 0) is s
+
+
 def test_diff_errors():
     s = hourly([1.0, 2.0, 3.0])
     with pytest.raises(InvalidArgumentError):
@@ -368,6 +375,30 @@ def test_feature_codes_match_datetime_library(start, step, data):
     for kind in FEATURE_KINDS:
         assert got[kind].dtype == np.int64, kind
         assert got[kind].tolist() == want[kind], kind
+
+
+@pytest.mark.parametrize(
+    "start, step, n",
+    [
+        (T0, 3600.0, 8_760),
+        (datetime(2020, 8, 1, 0, 7, tzinfo=UTC), 900.0, 500),
+        (datetime(1969, 12, 20, 5, tzinfo=UTC), 1.5 * 86400.0, 300),
+        (datetime(9999, 12, 30, tzinfo=UTC), 3600.0, 48),
+    ],
+    ids=["hourly-year", "quarter-hour", "day-and-a-half", "ends-9999-12-31"],
+)
+def test_one_calendar_gives_every_kinds_codes(start, step, n):
+    # boosted_fit and boosted_predict read all their features from one calendar
+    s = TimeSeries(start, step, np.zeros(n))
+    holidays = frozenset(t.date() for t in timestamps(s)[::5])
+    calendar = grid_calendar(s)
+    assert (calendar[3] is None) == (step > 86400.0)  # a table of the points' own days
+    want = datetime_codes(s, holidays)
+    for kind in FEATURE_KINDS:
+        spec = FeatureSpec(kind, holiday_dates=holidays if kind == "is_holiday" else None)
+        codes = calendar_codes(calendar, spec)
+        assert_array_equal(codes, extract_feature(s, spec))
+        assert codes.tolist() == want[kind], kind
 
 
 def test_day_codes_on_a_long_step_take_memory_by_points_not_days():
