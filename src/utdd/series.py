@@ -320,7 +320,7 @@ def extract_feature(series: TimeSeries, spec: FeatureSpec) -> np.ndarray:
 # of only one block is held as Python strings; the bytes do not depend on it.
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024
 
 
 def _format_stamps(us: np.ndarray) -> list[str]:

@@ -1,6 +1,7 @@
 """Tests for the residual z-statistic and the window-vs-window drift pipeline."""
 
 import json
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -32,6 +33,7 @@ from utdd import (
     save_report,
     simulate_series,
 )
+from utdd import series
 from utdd.drift import fit_reference, write_fit_csv, write_residual_csv
 from utdd.series import spread, write_timestamp_table
 from utdd.verdict import DEFAULT_EPSILON, DEFAULT_THRESHOLD, REPORT_FORMAT_VERSION
@@ -511,6 +513,38 @@ def test_fit_csv_and_residual_csv(tmp_path):
     header, *lines = resid_path.read_text().splitlines()
     assert header == "timestamp,residual"
     assert_array_equal(np.loadtxt(lines, delimiter=",", usecols=1), res.current.residual)
+
+
+@lru_cache(maxsize=None)
+def one_year_fit():
+    """The fit of a year of hourly points, 8,760 rows of fit CSV."""
+    s = simulate_series(SimConfig(
+        start=T0, step=3600.0, n=8760, components=(SeasonalComponentConfig(24, 0.003),),
+        sigma_eps=0.3, trend=TrendConfig(level=10.0), seed=11,
+    ))
+    return run_utdd(s, s, FEATS).current
+
+
+def test_fit_csv_does_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    fit = one_year_fit()
+    write_fit_csv(fit, tmp_path / "want.csv")
+    want = (tmp_path / "want.csv").read_bytes()
+    for rows in (1, 7, 1024, 4096):
+        monkeypatch.setattr(series, "_BLOCK_ROWS", rows)
+        write_fit_csv(fit, tmp_path / "fit.csv")
+        assert (tmp_path / "fit.csv").read_bytes() == want, rows
+
+
+def test_fit_csv_memory_grows_with_rows_not_text(tmp_path):
+    # blocks of 4,096 rows took 2.17 MB
+    fit = one_year_fit()
+    tracemalloc.start()
+    try:
+        write_fit_csv(fit, tmp_path / "fit.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_fit_csv_rewrite_is_byte_identical(tmp_path):

@@ -22,6 +22,7 @@ from utdd import (
     load_sim_config,
     simulate_series,
 )
+from utdd import simulate
 from utdd.simulate import _BLOCK_STEPS
 
 UTC = timezone.utc
@@ -231,10 +232,10 @@ def test_draw_order_matches_scalar_replay():
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
-def test_draw_order_matches_scalar_replay_at_bench_shape():
+def bench_shape_cfg():
     # the benchmark's component lengths: s = 2 has the lambda = pi harmonic,
     # s = 168 dominates the 96 stacked harmonics; two full weekly periods
-    cfg = SimConfig(
+    return SimConfig(
         start=T0,
         step=3600.0,
         n=2 * 168,
@@ -246,19 +247,40 @@ def test_draw_order_matches_scalar_replay_at_bench_shape():
         trend=TrendConfig(level=50.0, slope=0.001),
         seed=2019,
     )
+
+
+def test_draw_order_matches_scalar_replay_at_bench_shape():
+    cfg = bench_shape_cfg()
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
+def test_noise_only_draw_order_matches_scalar_replay():
+    # no seasonal component runs no step loop, but every step still draws its noise
+    cfg = base_cfg(components=(), sigma_eps=0.7, trend=TrendConfig(level=2.0, slope=0.01),
+                   n=2 * _BLOCK_STEPS + 1)
+    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
+
+
+def test_simulation_does_not_depend_on_the_block_size(monkeypatch):
+    cfg = bench_shape_cfg()
+    want = simulate_series(cfg).values
+    for steps in (1, 7, 256, 1024):
+        monkeypatch.setattr(simulate, "_BLOCK_STEPS", steps)
+        assert simulate_series(cfg).values.tobytes() == want.tobytes(), steps
+
+
 def test_simulation_memory_grows_with_steps_not_harmonics():
-    # two years hourly with 96 harmonics: a whole-run draw matrix alone would take 27 MB
+    # two years hourly with 96 harmonics: a whole-run draw matrix alone would take 27 MB,
+    # and 1,024-step blocks of the four-call step peaked at 4.23 MB
     cfg = load_sim_config(TWO_YEAR_CONFIG)
+    simulate_series(replace(cfg, n=1))  # numpy imports numpy.random on first use; trace the run alone
     tracemalloc.start()
     try:
         simulate_series(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 2.5e6
 
 
 def test_component_draw_order_matches_scalar_replay():

@@ -13,7 +13,9 @@ with its own ``src`` on the path, in a fresh directory of its own:
   ``detect --max-diff -1``, refused before its missing input is read; ``fit``
   with the README's flags and on a 10-hour window, refused as too short;
   ``report`` on both reports.  Every file a command writes, its stdout, its
-  stderr and its exit code are compared.
+  stderr and its exit code are compared.  Each command's peak RSS in both
+  trees is printed next to its line, for information only: the bench reports
+  only the largest child of a workload, and this shows which command moved.
 - the library: ``run_utdd`` on the 210 window pairs of the ``monitor-lib``
   workload (seeds 1-10, the set-up pair and 20 pairs each, scored as
   ``bench/monitor_child.py`` scores them).  k, ``z_ref``, ``z_curr`` and both
@@ -128,21 +130,42 @@ def snapshot(work: Path) -> dict:
     return {path.name: path.read_bytes() for path in work.iterdir()}
 
 
+# A child's ru_maxrss starts at its parent's peak RSS, which for this script is
+# above most commands' own, so each command is spawned and reaped by a fresh
+# interpreter that imports nothing else and writes "<exit code> <peak KiB>".
+_LAUNCH = """import os, sys
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
+def run_command(argv: list, cwd: Path, env: dict) -> tuple:
+    """(exit code, stdout, stderr) of one command, and its peak RSS in KiB."""
+    status = cwd.parent / "status"
+    done = subprocess.run([sys.executable, "-c", _LAUNCH, str(status), *argv], cwd=cwd, env=env,
+                          capture_output=True, check=True)
+    code, peak = map(int, status.read_text().split())
+    return (code, done.stdout, done.stderr), peak
+
+
 def run_tree(tree: Path, work: Path, commands: list) -> tuple:
-    """Every command's (exit code, stdout, stderr, files written), and the monitor lines."""
+    """Every command's (exit code, stdout, stderr, files written), each command's
+    peak RSS in KiB, and the monitor lines."""
     work.mkdir()
     # each tree simulates from its own configs, copied so that paths read the same
     shutil.copy(tree / "configs" / "fixture.json", work / "fixture.json")
     shutil.copy(tree / "bench" / "two_year.json", work / "two_year.json")
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     env.pop("UTDD_SEED", None)
-    outputs = []
+    outputs, peaks = [], []
     for _, extra, argv in commands:
         before = snapshot(work)
-        done = subprocess.run([sys.executable, "-m", "utdd", *argv], cwd=work,
-                              env={**env, **extra}, capture_output=True)
+        done, peak = run_command([sys.executable, "-m", "utdd", *argv], work, {**env, **extra})
         written = {name: data for name, data in snapshot(work).items() if before.get(name) != data}
-        outputs.append((done.returncode, done.stdout, done.stderr, written))
+        outputs.append((*done, written))
+        peaks.append(peak)
     done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--monitor"],
                           cwd=work, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -150,7 +173,7 @@ def run_tree(tree: Path, work: Path, commands: list) -> tuple:
     lines = done.stdout.splitlines()
     if Path(lines[0]).resolve() != (tree / "src" / "utdd" / "__init__.py").resolve():
         raise SystemExit(f"monitor-lib run imported {lines[0]}, not the tree at {tree}")
-    return outputs, lines[1:]
+    return outputs, peaks, lines[1:]
 
 
 def describe(code: int, stdout: bytes, stderr: bytes, written: dict) -> str:
@@ -176,17 +199,20 @@ def main(argv: list) -> int:
                        check=True)
         subprocess.run(["tar", "-x", "-f", str(archive), "-C", str(old)], check=True)
         line_counts = f"src/ lines: {src_lines(old):,} at {rev}, {src_lines(ROOT):,} in the working tree"
-        old_cli, old_monitor = run_tree(old, Path(tmp) / "run-rev", commands)
-        new_cli, new_monitor = run_tree(ROOT, Path(tmp) / "run-tree", commands)
+        old_cli, old_peaks, old_monitor = run_tree(old, Path(tmp) / "run-rev", commands)
+        new_cli, new_peaks, new_monitor = run_tree(ROOT, Path(tmp) / "run-tree", commands)
 
     differ = 0
-    print(f"{rev} against the working tree")
-    for (label, _, _), before, after in zip(commands, old_cli, new_cli):
+    print(f"{rev} against the working tree; peak RSS in MB as the bench's peak_rss_mb counts it")
+    for (label, _, _), before, after, old_kib, new_kib in zip(
+        commands, old_cli, new_cli, old_peaks, new_peaks
+    ):
+        rss = f"[peak RSS {old_kib / 1024:.1f} -> {new_kib / 1024:.1f} MB]"
         if before == after:
-            print(f"same     {label}: {describe(*after)}")
+            print(f"same     {label} {rss}: {describe(*after)}")
             continue
         differ += 1
-        print(f"DIFFERS  {label}")
+        print(f"DIFFERS  {label} {rss}")
         print(f"  {rev}: {describe(*before)}")
         print(f"  tree: {describe(*after)}")
         for name in sorted(set(before[3]) | set(after[3])):
