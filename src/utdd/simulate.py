@@ -12,17 +12,15 @@ value at step ``t`` is ``sum_j g[j, t]``.  For even ``s`` the top harmonic
 half-frequency special case).
 
 The step loop advances every harmonic of every component as one stacked
-``(2, sum p)`` state, a ``g`` row and an ``h`` row, in three ufunc calls per
-step: one multiply of both rows by the rotation's terms, one add of the two
-product rows and one add of the step's ``(w, w*)`` rows.  It is still the
-literal recursion above, evaluated term by term in the same order, so the
-output is bit for bit that of a per-harmonic scalar loop (no closed form,
-whose rounding would differ).  Steps are drawn and advanced one block of
-``_BLOCK_STEPS`` at a time, carrying the state from block to block, so memory
-is O(n + block * sum p) rather than O(n * sum p).  A generator gives the same
-stream in one call or in several, and each step's arithmetic is the same in
-any block, so the output does not depend on the block size.  A config with no
-seasonal component still draws every step's noise, and runs no step loop.
+``(sum p, 2)`` state of ``(g, h)`` rows, a few whole-array operations per
+step.  It is still the literal recursion above, evaluated term by term in the
+same order, so the output is bit for bit that of a per-harmonic scalar loop
+(no closed form, whose rounding would differ).  Steps are drawn and advanced
+one block of ``_BLOCK_STEPS`` at a time, carrying the state from block to
+block, so memory is O(n + block * sum p) rather than O(n * sum p).  A
+generator gives the same stream in one call or in several, and each step's
+arithmetic is the same in any block, so the output does not depend on the
+block size.
 
 Reproducibility contract: all randomness comes from one numpy PCG64 generator
 (``numpy.random.default_rng(seed)``) producing standard normals via numpy's
@@ -153,17 +151,15 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
     # one row per step: [comp 0: w1, w*1, ..., wp, w*p] ... [comp k] [eps]
     bounds = np.cumsum([0] + [comp.p for comp in comps])
     total_p = int(bounds[-1])
-    state = np.empty((2, total_p))
+    state = np.empty((total_p, 2))
     for comp, lo, hi in zip(comps, bounds, bounds[1:]):
-        state[:, lo:hi] = rng.standard_normal((2, comp.p))  # gamma's p draws, then gamma-star's
+        state[lo:hi] = rng.standard_normal((2, comp.p)).T  # gamma's p draws, then gamma-star's
     for first in range(0, n, _BLOCK_STEPS):
         rows = slice(first, min(first + _BLOCK_STEPS, n))
         noise = rng.standard_normal((rows.stop - first, 2 * total_p + 1))
-        eps[rows] = noise[:, -1]
-        if not comps:
-            continue
         for comp, lo, hi in zip(comps, bounds, bounds[1:]):
             noise[:, 2 * lo : 2 * hi] *= comp.sigma_omega
+        eps[rows] = noise[:, -1]
         gammas = _gamma_history(comps, state, noise[:, : 2 * total_p])
         for lo, hi in zip(bounds, bounds[1:]):
             seasonal[rows] += gammas[:, lo:hi].sum(axis=1)
@@ -193,31 +189,28 @@ def simulate_series(cfg: SimConfig) -> TimeSeries:
 def _gamma_history(comps, state: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Advance every harmonic of every component through one block; return gamma per step.
 
-    ``state`` is a ``(2, total_p)`` array, advanced in place: a ``gamma`` row
-    and a ``gamma-star`` row, the components' harmonics one after another.
-    ``draws`` is ``(rows, 2 * total_p)``, each step's scaled ``w_1, w*_1, ...,
-    w_p, w*_p`` pairs in the same order, for the block's rows only, so the
-    state history and the draws' copy take ``2 * rows * total_p`` floats
-    each.  Row ``t`` of the result, a view of that history, is gamma before
-    the block's step ``t``.
+    ``state`` is a C-ordered ``(total_p, 2)`` array, advanced in place: one
+    ``(gamma, gamma-star)`` row per harmonic, the components' harmonics one
+    after another.  ``draws`` is ``(rows, 2 * total_p)``, each step's scaled
+    ``w_1, w*_1, ..., w_p, w*_p`` pairs in the same order, for the block's
+    rows only, so the history takes ``rows * total_p`` floats.  Row ``t`` of
+    the result is gamma before the block's step ``t`` updates ``state``.
     """
-    n, total_p = draws.shape[0], state.shape[1]
+    n, total_p = draws.shape[0], state.shape[0]
     lam = np.array([2.0 * np.pi * j / comp.s for comp in comps for j in range(1, comp.p + 1)])
-    cos, sin = np.cos(lam), np.sin(lam)
-    rotation = np.array([[cos, -sin], [sin, cos]])  # row i multiplies state row i
-    w = np.ascontiguousarray(draws.reshape(n, total_p, 2).transpose(0, 2, 1))
-    # (g, h) before each step and after the last; the unit axis pairs each row with its rotation row
-    history = np.empty((n + 1, 2, 1, total_p))
-    history[0, :, 0] = state
-    terms = np.empty((2, 2, total_p))
-    g_terms, h_terms = terms
-    # (g, h) <- (g cos + h sin, -g sin + h cos) + (w, w*); terms is [[g cos, -g sin], [h sin, h cos]]
-    for x, wt, out in zip(history[:-1], w, history[1:, :, 0]):
-        np.multiply(x, rotation, terms)
-        np.add(g_terms, h_terms, out)
-        np.add(out, wt, out)
-    state[:] = history[-1, :, 0]
-    return history[:-1, 0, 0]
+    cos = np.stack([np.cos(lam), np.cos(lam)], axis=1)
+    sin = np.stack([np.sin(lam), -np.sin(lam)], axis=1)
+    swapped = state[:, ::-1]
+    rotated = np.empty_like(state)
+    history = np.empty((n, total_p))
+    # (g, h) <- (g cos + h sin, h cos - g sin) + (w, w*), one ufunc per term
+    for gamma, w in zip(history, draws.reshape(n, total_p, 2)):
+        gamma[:] = state[:, 0]
+        np.multiply(swapped, sin, rotated)
+        np.multiply(state, cos, state)
+        np.add(state, rotated, state)
+        np.add(state, w, state)
+    return history
 
 
 # ---------------------------------------------------------------------------

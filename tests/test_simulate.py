@@ -230,6 +230,9 @@ def test_draw_order_matches_scalar_replay():
     # the last of 2 * _BLOCK_STEPS + 1 steps is a block of one row
     cfg = replace(cfg, n=2 * _BLOCK_STEPS + 1)
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
+    # with no seasonal component every step still draws its noise
+    cfg = replace(cfg, components=(), sigma_eps=0.7)
+    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
 def bench_shape_cfg():
@@ -254,13 +257,6 @@ def test_draw_order_matches_scalar_replay_at_bench_shape():
     assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
 
 
-def test_noise_only_draw_order_matches_scalar_replay():
-    # no seasonal component runs no step loop, but every step still draws its noise
-    cfg = base_cfg(components=(), sigma_eps=0.7, trend=TrendConfig(level=2.0, slope=0.01),
-                   n=2 * _BLOCK_STEPS + 1)
-    assert_array_equal(simulate_series(cfg).values, scalar_replay(cfg))
-
-
 def test_simulation_does_not_depend_on_the_block_size(monkeypatch):
     cfg = bench_shape_cfg()
     want = simulate_series(cfg).values
@@ -271,7 +267,7 @@ def test_simulation_does_not_depend_on_the_block_size(monkeypatch):
 
 def test_simulation_memory_grows_with_steps_not_harmonics():
     # two years hourly with 96 harmonics: a whole-run draw matrix alone would take 27 MB,
-    # and 1,024-step blocks of the four-call step peaked at 4.23 MB
+    # and blocks of 1,024 steps peaked at 4.23 MB
     cfg = load_sim_config(TWO_YEAR_CONFIG)
     simulate_series(replace(cfg, n=1))  # numpy imports numpy.random on first use; trace the run alone
     tracemalloc.start()
